@@ -16,9 +16,10 @@ from .quadrature import (IntegralResult, NonConvergenceError,
                          QuadratureConfig, fourier_num, integrate_1d,
                          integrate_tensor, parseval_lhs)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
-                         TransformParamsLaguerre, a_family, a_norm_rhs,
-                         b_family, b_norm_rhs, f_d, f_d_via_g1, f_d_via_g2,
-                         ft_f_closed, ft_g_jacobi_closed,
+                         TransformParamsLaguerre, a_family,
+                         a_family_factors, a_norm_rhs, b_family,
+                         b_family_factors, b_norm_rhs, f_d, f_d_via_g1,
+                         f_d_via_g2, ft_f_closed, ft_g_jacobi_closed,
                          ft_g_laguerre_closed, g_jacobi, g_laguerre,
                          lambda_factor, theta_hahn, theta_hyper, xi_factor)
 from .univariate import (GegenbauerSpec, HahnSpec, continuous_hahn,
@@ -27,7 +28,7 @@ from .univariate import (GegenbauerSpec, HahnSpec, continuous_hahn,
 from .verify import (IDENTITY_IDS, CheckReport, SuiteResult, check_identity,
                      default_grids, run_suite)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "Cx", "DomainError", "HyperParams", "PoleError",
@@ -40,8 +41,8 @@ __all__ = [
     "IntegralResult", "NonConvergenceError", "QuadratureConfig",
     "fourier_num", "integrate_1d", "integrate_tensor", "parseval_lhs",
     "FreqVector", "ParsevalParams", "TransformParamsJacobi",
-    "TransformParamsLaguerre", "a_family", "a_norm_rhs", "b_family",
-    "b_norm_rhs", "f_d", "f_d_via_g1", "f_d_via_g2", "ft_f_closed",
+    "TransformParamsLaguerre", "a_family", "a_family_factors", "a_norm_rhs",
+    "b_family", "b_family_factors", "b_norm_rhs", "f_d", "f_d_via_g1", "f_d_via_g2", "ft_f_closed",
     "ft_g_jacobi_closed", "ft_g_laguerre_closed", "g_jacobi", "g_laguerre",
     "lambda_factor", "theta_hahn", "theta_hyper", "xi_factor",
     "GegenbauerSpec", "HahnSpec", "continuous_hahn", "gegenbauer",

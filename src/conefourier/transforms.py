@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +45,8 @@ __all__ = [
     "ft_g_jacobi_closed",
     "a_family",
     "b_family",
+    "a_family_factors",
+    "b_family_factors",
     "a_norm_rhs",
     "b_norm_rhs",
 ]
@@ -515,36 +518,101 @@ def _check_form(form: str) -> None:
         raise DomainError(f"unknown form {form!r}; pick from {_FORMS}")
 
 
-def _family_axis_product(x, k: MultiIndex, pp: ParsevalParams, form: str):
-    """Product over axes of Gamma pair times terminating 3F2 (or its
-    continuous-Hahn rewriting) shared by both Parseval families."""
+def _family_axis_factor(xj, j: int, k: MultiIndex, pp: ParsevalParams,
+                        form: str):
+    """Axis j (1-based) factor shared by both Parseval families: the
+    Gamma pair Gamma(alpha_j - x_j/2) Gamma(alpha_j + x_j/2) times a
+    terminating 3F2 (or its continuous-Hahn rewriting).
+
+    Where the Gamma pair underflows the factor is exactly 0: the
+    polynomial is evaluated at x_j = 0 there, so its overflow at large
+    |x_j| never meets the underflow as inf * 0."""
     d = k.d
-    xs = _coords(x, d)
-    a1, a2 = pp.a1, pp.a2
-    abs_a = pp.abs_a
-    value = 1.0
-    for j in range(1, d + 1):
-        kj = k[j - 1]
-        tail = k.tail(j + 1)
-        xj = np.asarray(xs[j - 1])
-        base = a1 + tail / 2.0 + (d - j) / 4.0
-        gg = gamma_cx(base - 0.5 * xj) * gamma_cx(base + 0.5 * xj)
+    kj = k[j - 1]
+    tail = k.tail(j + 1)
+    a1, a2, abs_a = pp.a1, pp.a2, pp.abs_a
+    xj = np.asarray(xj)
+    base = a1 + tail / 2.0 + (d - j) / 4.0
+    gg = gamma_cx(base - 0.5 * xj) * gamma_cx(base + 0.5 * xj)
+    xj = np.where(gg == 0.0, 0.0, xj)
+    if form == "hyper":
+        return gg * _pfq_terminating(
+            (-kj, kj + 2.0 * (tail + abs_a + (d - j - 1) / 2.0),
+             base + 0.5 * xj),
+            (tail + abs_a + (d - j) / 2.0, tail + 2.0 * a1 + (d - j) / 2.0),
+            1.0)
+    alpha2 = a2 + tail / 2.0 + (d - j) / 4.0
+    pref = math.factorial(kj) * _I_POWERS[(-kj) % 4] / (
+        pochhammer(tail + 2.0 * a1 + (d - j) / 2.0, kj)
+        * pochhammer(tail + abs_a + (d - j) / 2.0, kj))
+    return pref * gg * continuous_hahn(
+        kj, -0.5j * xj, base, alpha2, alpha2, base)
+
+
+def _axis_factors(k: MultiIndex, pp: ParsevalParams, form: str) -> list:
+    return [partial(_family_axis_factor, j=j, k=k, pp=pp, form=form)
+            for j in range(1, k.d + 1)]
+
+
+def _family_value(factors, t, x):
+    t_factor, axis_factors = factors
+    value = t_factor(t)
+    for factor, xj in zip(axis_factors, _coords(x, len(axis_factors))):
+        value = value * factor(xj)
+    return value if np.ndim(value) else complex(value)
+
+
+def a_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
+    """The first Parseval family as separable factors
+    (t_factor, [axis_factor_1, ..., axis_factor_d]) with
+
+        a_family(t, x) = t_factor(t) * prod_j axis_factor_j(x_j).
+
+    t_factor is the argument-2 2F1 in t times the shifted Pochhammer
+    (b1 - t)_|k|; each factor is a vectorized callable of one variable."""
+    k = _as_multiindex(k)
+    _check_k_n(k, n)
+    _check_form(form)
+
+    def t_factor(t):
+        tt = np.asarray(t)
+        return _pfq_terminating(
+            (-int(n) + k.total, pp.b1 + k.total - tt),
+            (2 * k.total + pp.abs_b,),
+            2.0) * pochhammer(pp.b1 - tt, k.total)
+
+    return t_factor, _axis_factors(k, pp, form)
+
+
+def b_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
+    """The second Parseval family as separable factors, as in
+    a_family_factors.  t_factor is a terminating 3F2 at 1 in t
+    (equivalently a degree n-|k| continuous-Hahn polynomial) times
+    (b1 - t/2)_|k|."""
+    k = _as_multiindex(k)
+    _check_k_n(k, n)
+    _check_form(form)
+    if not pp.has_c:
+        raise DomainError("b_family requires ParsevalParams with the c pair")
+    m = int(n) - k.total
+
+    def t_factor(t):
+        tt = np.asarray(t)
         if form == "hyper":
-            f32 = _pfq_terminating(
-                (-kj, kj + 2.0 * (tail + abs_a + (d - j - 1) / 2.0),
-                 base + 0.5 * xj),
-                (tail + abs_a + (d - j) / 2.0, tail + 2.0 * a1 + (d - j) / 2.0),
+            tpart = _pfq_terminating(
+                (-m, int(n) + k.total + pp.abs_b + pp.abs_c - 1.0,
+                 k.total + pp.b1 - 0.5 * tt),
+                (2 * k.total + pp.abs_b, k.total + pp.b1 + pp.c1),
                 1.0)
-            value = value * gg * f32
         else:
-            alpha1 = a1 + tail / 2.0 + (d - j) / 4.0
-            alpha2 = a2 + tail / 2.0 + (d - j) / 4.0
-            pref = math.factorial(kj) * _I_POWERS[(-kj) % 4] / (
-                pochhammer(tail + 2.0 * a1 + (d - j) / 2.0, kj)
-                * pochhammer(tail + abs_a + (d - j) / 2.0, kj))
-            value = value * pref * gg * continuous_hahn(
-                kj, -0.5j * xj, alpha1, alpha2, alpha2, alpha1)
-    return value
+            pref = math.factorial(m) * _I_POWERS[(k.total - int(n)) % 4] / (
+                pochhammer(2 * k.total + pp.abs_b, m)
+                * pochhammer(k.total + pp.b1 + pp.c1, m))
+            tpart = pref * continuous_hahn(
+                m, 0.5j * tt, k.total + pp.b1, pp.c2, k.total + pp.b2, pp.c1)
+        return tpart * pochhammer(pp.b1 - 0.5 * tt, k.total)
+
+    return t_factor, _axis_factors(k, pp, form)
 
 
 def a_family(t, x, k, n: int, pp: ParsevalParams, form: str = "hyper") -> Cx:
@@ -554,45 +622,14 @@ def a_family(t, x, k, n: int, pp: ParsevalParams, form: str = "hyper") -> Cx:
     t and the entries of x may be complex scalars or broadcastable
     arrays; the orthogonality theorem evaluates them on the imaginary
     slices (it, ix)."""
-    k = _as_multiindex(k)
-    _check_k_n(k, n)
-    _check_form(form)
-    tt = np.asarray(t)
-    f21 = _pfq_terminating(
-        (-int(n) + k.total, pp.b1 + k.total - tt),
-        (2 * k.total + pp.abs_b,),
-        2.0)
-    value = f21 * pochhammer(pp.b1 - tt, k.total) \
-        * _family_axis_product(x, k, pp, form)
-    return value if np.ndim(value) else complex(value)
+    return _family_value(a_family_factors(k, n, pp, form), t, x)
 
 
 def b_family(t, x, k, n: int, pp: ParsevalParams, form: str = "hyper") -> Cx:
     """Second Parseval family: terminating 3F2 at 1 in t (equivalently a
     degree n-|k| continuous-Hahn polynomial) times (b1 - t/2)_|k| times
     the axis product."""
-    k = _as_multiindex(k)
-    _check_k_n(k, n)
-    _check_form(form)
-    if not pp.has_c:
-        raise DomainError("b_family requires ParsevalParams with the c pair")
-    tt = np.asarray(t)
-    m = int(n) - k.total
-    if form == "hyper":
-        tpart = _pfq_terminating(
-            (-m, int(n) + k.total + pp.abs_b + pp.abs_c - 1.0,
-             k.total + pp.b1 - 0.5 * tt),
-            (2 * k.total + pp.abs_b, k.total + pp.b1 + pp.c1),
-            1.0)
-    else:
-        pref = math.factorial(m) * _I_POWERS[(k.total - int(n)) % 4] / (
-            pochhammer(2 * k.total + pp.abs_b, m)
-            * pochhammer(k.total + pp.b1 + pp.c1, m))
-        tpart = pref * continuous_hahn(
-            m, 0.5j * tt, k.total + pp.b1, pp.c2, k.total + pp.b2, pp.c1)
-    value = tpart * pochhammer(pp.b1 - 0.5 * tt, k.total) \
-        * _family_axis_product(x, k, pp, form)
-    return value if np.ndim(value) else complex(value)
+    return _family_value(b_family_factors(k, n, pp, form), t, x)
 
 
 def _axis_norm_log(k: MultiIndex, pp: ParsevalParams) -> float:

@@ -9,10 +9,9 @@ non-convergence comes back as a failed report carrying the reason.
 Tolerance policy (per identity class): algebraic identities compare two
 exact evaluation routes at rel 1e-11; single-integral quadrature checks
 run at rel 1e-10; two-dimensional Fourier integrals at 1e-6; Parseval
-double integrals at 1e-5 (1e-4 for the three-dimensional d = 2 spot
-checks).  Off-diagonal orthogonality entries are judged by absolute
-error relative to the diagonal scale, since relative error at a true
-zero is meaningless.
+integrals, products of one 1-d integral per axis, at 1e-5.  Off-diagonal
+orthogonality entries are judged by absolute error relative to the
+diagonal scale, since relative error at a true zero is meaningless.
 """
 
 from __future__ import annotations
@@ -33,10 +32,11 @@ from .quadrature import (IntegralResult, NonConvergenceError, QuadratureConfig,
                          fourier_num, integrate_1d, integrate_tensor,
                          parseval_lhs)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
-                         TransformParamsLaguerre, a_family, a_norm_rhs,
-                         b_family, b_norm_rhs, f_d, f_d_via_g1, f_d_via_g2,
-                         ft_f_closed, ft_g_jacobi_closed, ft_g_laguerre_closed,
-                         g_jacobi, g_laguerre, theta_hahn, theta_hyper)
+                         TransformParamsLaguerre, a_family_factors,
+                         a_norm_rhs, b_family_factors, b_norm_rhs, f_d,
+                         f_d_via_g1, f_d_via_g2, ft_f_closed,
+                         ft_g_jacobi_closed, ft_g_laguerre_closed, g_jacobi,
+                         g_laguerre, theta_hahn, theta_hyper)
 from .univariate import (gegenbauer, gegenbauer_norm, jacobi, jacobi_norm,
                          laguerre, laguerre_norm)
 
@@ -67,7 +67,7 @@ IDENTITY_IDS = (
     "norm-constants",
 )
 
-# rel tolerance by identity; parseval entries loosen to 1e-4 at d = 2
+# rel tolerance by identity
 _TOL = {
     "gegenbauer-orth": 1e-10,
     "laguerre-orth": 1e-10,
@@ -137,11 +137,10 @@ def _param_sort_key(frozen: tuple) -> tuple:
 
 
 def _report(id: str, params: dict, lhs, rhs, evals: int, seconds: float,
-            scale: float | None = None, tol: float | None = None,
-            reason: str = "") -> CheckReport:
+            scale: float | None = None, reason: str = "") -> CheckReport:
     lhs = complex(lhs)
     rhs = complex(rhs)
-    tol = _TOL[id] if tol is None else tol
+    tol = _TOL[id]
     abs_err = abs(lhs - rhs)
     if scale is not None:
         rel_err = abs_err / scale
@@ -168,12 +167,6 @@ _CFG_CONE = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)
 # demanding more would spin the ladder without converging
 _CFG_FOURIER = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
 _CFG_PARSEVAL = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7)
-_CFG_PARSEVAL_3D = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-5)
-# Gamma-type decay concentrates the Parseval integrand well inside
-# |t| < 16; a wider starting box pushes the mass into a vanishing
-# tanh-sinh window and stalls the level ladder (parseval_lhs still
-# grows the box when its face probe finds slow decay)
-_PARSEVAL_BOX = 16.0
 
 
 def _check_gegenbauer_orth(params, cfg):
@@ -412,9 +405,10 @@ def _check_fd_recursion(params, cfg):
 # ----------------------------------------------------------------------
 # Parseval families.  The orthogonality integrand
 #     Gamma-weight(t) * Fam(it, ix; p1) * Fam(-it, -ix; p2-swapped)
-# is fed to parseval_lhs as F * conj(G) with the weight split so that
-# conj(G) supplies the swapped factor (Gamma(conj z) = conj Gamma(z) on
-# the real axis makes the split exact).
+# is separable: the family factors split it into a t pair, which carries
+# the Gamma weights, and one pair per axis, fed to parseval_lhs as
+# F_j * conj(G_j) with conj(G_j) supplying the swapped factor
+# (Gamma(conj z) = conj Gamma(z) on the real axis makes the split exact).
 # ----------------------------------------------------------------------
 
 def _parseval_params(params) -> ParsevalParams:
@@ -426,61 +420,36 @@ def _parseval_params(params) -> ParsevalParams:
                           None if c2 is None else float(c2))
 
 
-def _check_parseval_a(params, cfg):
+def _check_parseval(family, params, cfg):
     n, m = int(params["n"]), int(params["m"])
     k = _as_multiindex(params["k"])
     l = _as_multiindex(params["l"])
+    if k.d != l.d:
+        raise DomainError("parseval checks need multiindices of equal dimension")
     pp = _parseval_params(params)
-    swapped = ParsevalParams(pp.a2, pp.a1, pp.b2, pp.b1)
-    d = k.d
-
-    def F(t, *xs):
-        return gamma_cx(pp.b1 - 1j * t) * a_family(
-            1j * t, tuple(1j * np.asarray(x) for x in xs), k, n, pp)
-
-    def G(t, *xs):
-        return gamma_cx(pp.b2 - 1j * t) * np.conj(a_family(
-            -1j * t, tuple(-1j * np.asarray(x) for x in xs), l, m, swapped))
-
-    base = cfg or (_CFG_PARSEVAL if d == 1 else _CFG_PARSEVAL_3D)
-    res = parseval_lhs(F, G, d + 1, base, box_halfwidth=_PARSEVAL_BOX)
-    diag = n == m and k == l
-    tol = _TOL["parseval-a"] if d == 1 else 1e-4
-    if diag:
-        return res.value, a_norm_rhs(n, k, pp), None, res.evaluations, tol
-    scale = math.sqrt(a_norm_rhs(n, k, pp) * a_norm_rhs(m, l, pp))
-    return res.value, 0.0, scale, res.evaluations, tol
-
-
-def _check_parseval_b(params, cfg):
-    n, m = int(params["n"]), int(params["m"])
-    k = _as_multiindex(params["k"])
-    l = _as_multiindex(params["l"])
-    pp = _parseval_params(params)
-    if not pp.has_c:
-        raise DomainError("parseval-b requires the c1/c2 parameter pair")
     swapped = ParsevalParams(pp.a2, pp.a1, pp.b2, pp.b1, pp.c2, pp.c1)
-    d = k.d
-
-    def F(t, *xs):
-        return (gamma_cx(pp.b1 - 0.5j * t) * gamma_cx(pp.c1 + 0.5j * t)
-                * b_family(1j * t, tuple(1j * np.asarray(x) for x in xs),
-                           k, n, pp))
-
-    def G(t, *xs):
-        return (gamma_cx(pp.b2 - 0.5j * t) * gamma_cx(pp.c2 + 0.5j * t)
-                * np.conj(b_family(-1j * t,
-                                   tuple(-1j * np.asarray(x) for x in xs),
-                                   l, m, swapped)))
-
-    base = cfg or (_CFG_PARSEVAL if d == 1 else _CFG_PARSEVAL_3D)
-    res = parseval_lhs(F, G, d + 1, base, box_halfwidth=_PARSEVAL_BOX)
-    diag = n == m and k == l
-    tol = _TOL["parseval-b"] if d == 1 else 1e-4
-    if diag:
-        return res.value, b_norm_rhs(n, k, pp), None, res.evaluations, tol
-    scale = math.sqrt(b_norm_rhs(n, k, pp) * b_norm_rhs(m, l, pp))
-    return res.value, 0.0, scale, res.evaluations, tol
+    if family == "a":
+        factors, norm = a_family_factors, a_norm_rhs
+        weight_f = lambda t: gamma_cx(pp.b1 - 1j * t)
+        weight_g = lambda t: gamma_cx(pp.b2 - 1j * t)
+    else:
+        factors, norm = b_family_factors, b_norm_rhs
+        weight_f = lambda t: (gamma_cx(pp.b1 - 0.5j * t)
+                              * gamma_cx(pp.c1 + 0.5j * t))
+        weight_g = lambda t: (gamma_cx(pp.b2 - 0.5j * t)
+                              * gamma_cx(pp.c2 + 0.5j * t))
+    (t_f, axes_f), (t_g, axes_g) = factors(k, n, pp), factors(l, m, swapped)
+    pairs = [(lambda t: weight_f(t) * t_f(1j * t),
+              lambda t: weight_g(t) * np.conj(t_g(-1j * t)))]
+    pairs += [(lambda x, f=f: f(1j * x), lambda x, g=g: np.conj(g(-1j * x)))
+              for f, g in zip(axes_f, axes_g)]
+    # keyword arguments: callers that wrap positional integrand arguments
+    # (bench/tracer.py) must not mistake the pair list for an integrand
+    res = parseval_lhs(pairs=pairs, cfg=cfg or _CFG_PARSEVAL)
+    if n == m and k == l:
+        return res.value, norm(n, k, pp), None, res.evaluations
+    scale = math.sqrt(norm(n, k, pp) * norm(m, l, pp))
+    return res.value, 0.0, scale, res.evaluations
 
 
 # ----------------------------------------------------------------------
@@ -547,8 +516,8 @@ _BUILDERS = {
     "ft-g-jacobi": _check_ft_g_jacobi,
     "theta-dual": _check_theta_dual,
     "fd-recursion": _check_fd_recursion,
-    "parseval-a": _check_parseval_a,
-    "parseval-b": _check_parseval_b,
+    "parseval-a": lambda p, c: _check_parseval("a", p, c),
+    "parseval-b": lambda p, c: _check_parseval("b", p, c),
     "norm-constants": _check_norm_constants,
 }
 
@@ -570,10 +539,9 @@ def check_identity(id: str, params: dict, cfg: QuadratureConfig | None = None
         return _report(id, params, math.nan, partial,
                        getattr(exc.result, "evaluations", 0),
                        time.perf_counter() - start, reason=str(exc))
-    lhs, rhs, scale, evals = out[:4]
-    tol = out[4] if len(out) > 4 else None
+    lhs, rhs, scale, evals = out
     return _report(id, params, lhs, rhs, evals, time.perf_counter() - start,
-                   scale=scale, tol=tol)
+                   scale=scale)
 
 
 # ----------------------------------------------------------------------

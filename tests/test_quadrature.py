@@ -204,11 +204,24 @@ def test_fourier_cross_check_agrees():
 
 def test_parseval_classical_pair():
     F = lambda xi: math.pi / np.cosh(math.pi * xi / 2.0)
-    res = parseval_lhs(F, F, 1)
+    res = parseval_lhs([(F, F)])
     # Parseval for sech: (2 pi) * int sech^2 = 4 pi
     assert res.value == pytest.approx(4.0 * math.pi, rel=1e-10)
     with pytest.raises(DomainError):
-        parseval_lhs(F, F, 5)
+        parseval_lhs([(F, F)] * 5)
+
+
+def test_parseval_vanishing_factor_error_covers_zero():
+    # int (x^2 - 1/4) e^{-2 x^2} dx = 0, which quadrature resolves only
+    # to roundoff: the product error bound must still cover |value - 0|
+    gauss = lambda x: np.exp(-x * x)
+    cfg = QuadratureConfig()
+    res = parseval_lhs([(gauss, gauss),
+                        (lambda x: (x * x - 0.25) * gauss(x), gauss)], cfg)
+    assert res.value != 0.0
+    assert res.converged
+    assert res.error_estimate >= abs(res.value)
+    assert res.error_estimate <= cfg.abs_tol
 
 
 def test_oracle_is_transform_independent():

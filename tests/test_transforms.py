@@ -343,6 +343,20 @@ def test_ab_families_hahn_form_equivalence():
         assert abs(vb - vbh) <= 1e-11 * max(abs(vb), 1e-280)
 
 
+def test_ab_families_zero_where_gamma_pair_underflows():
+    # at |x| = 1e160 the axis Gamma pair underflows to 0 while the
+    # terminating 3F2 overflows: the family is exactly 0, not inf * 0
+    pp = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
+    xs = np.array([1e160j, 0.3j])
+    for fam in (a_family, b_family):
+        for form in ("hyper", "hahn"):
+            assert fam(0.0, (1e160j,), (2,), 2, pp, form=form) == 0.0
+            got = fam(0.0, (xs,), (2,), 2, pp, form=form)
+            assert got[0] == 0.0
+            want = fam(0.0, (0.3j,), (2,), 2, pp, form=form)
+            assert abs(got[1] - want) < 1e-13 * abs(want)
+
+
 def test_a_norm_rhs_collapse():
     pp = ParsevalParams(0.8, 0.6, 0.9, 0.7)
     h0 = ball_norm(MultiIndex([0]), pp.mu)

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import conefourier.verify as verify
-from conefourier import (DomainError, QuadratureConfig, check_identity,
-                         default_grids, run_suite)
+from conefourier import (DomainError, ParsevalParams, QuadratureConfig,
+                         a_family, b_family, check_identity, default_grids,
+                         gamma_cx, integrate_tensor, run_suite)
 
 CATALOG = {
     "gegenbauer-orth", "laguerre-orth", "jacobi-orth", "ball-orth",
@@ -117,3 +119,32 @@ def test_jobs_match_serial():
     serial = run_suite(sel, jobs=1)
     parallel = run_suite(sel, jobs=4)
     assert [repr(r) for r in serial] == [repr(r) for r in parallel]
+
+
+@pytest.mark.parametrize("family", ["a", "b"])
+def test_parseval_factorization_matches_tensor(family):
+    # the factored oracle integrates one 1-d factor per axis; the same
+    # d = 1 diagonal integrated unfactored over the (t, x) square must agree
+    params = {"n": 0, "k": (0,), "m": 0, "l": (0,), "a1": 0.8, "a2": 0.6,
+              "b1": 0.9, "b2": 0.7, "c1": 1.1, "c2": 0.5}
+    pp = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
+    swapped = ParsevalParams(0.6, 0.8, 0.7, 0.9, 0.5, 1.1)
+    if family == "a":
+        fam = a_family
+        weight = lambda b, c, t: gamma_cx(b - 1j * t)
+    else:
+        fam = b_family
+        weight = lambda b, c, t: (gamma_cx(b - 0.5j * t)
+                                  * gamma_cx(c + 0.5j * t))
+
+    def integrand(t, x):
+        F = weight(pp.b1, pp.c1, t) * fam(1j * t, (1j * x,), (0,), 0, pp)
+        G = weight(pp.b2, pp.c2, t) * np.conj(
+            fam(-1j * t, (-1j * x,), (0,), 0, swapped))
+        return F * np.conj(G)
+
+    factored = check_identity(f"parseval-{family}", params)
+    assert factored.passed
+    tensor = integrate_tensor(integrand, [(-40.0, 40.0)] * 2,
+                              verify._CFG_PARSEVAL)
+    assert abs(tensor.value - factored.lhs) <= 1e-7 * abs(tensor.value)
