@@ -4,9 +4,8 @@ quadrature oracle plus check engine that certifies every identity the
 library claims.
 """
 
-from .kernel import (ConvergenceError, Cx, DomainError, HyperParams,
-                     PoleError, beta_cx, gamma_cx, log_gamma_cx, pochhammer,
-                     phyper_convergent, phyper_terminating)
+from .kernel import (Cx, DomainError, PoleError, beta_cx, gamma_cx,
+                     log_gamma_cx, pochhammer)
 from .multivariate import (BallPoint, ConePoint, JacobiConeParams,
                            LaguerreConeParams, MultiIndex, ball_norm, ball_op,
                            ball_weight, cone_basis,
@@ -31,9 +30,8 @@ from .verify import (IDENTITY_IDS, CheckReport, SuiteResult, check_identity,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "Cx", "DomainError", "HyperParams", "PoleError",
+    "Cx", "DomainError", "PoleError",
     "beta_cx", "gamma_cx", "log_gamma_cx", "pochhammer",
-    "phyper_convergent", "phyper_terminating",
     "BallPoint", "ConePoint", "JacobiConeParams", "LaguerreConeParams",
     "MultiIndex", "ball_norm", "ball_op", "ball_weight", "cone_basis",
     "cone_inner_product_separated", "jacobi_cone", "laguerre_cone",

@@ -14,6 +14,7 @@ reproduces the run exactly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -635,29 +636,31 @@ def _cmd_table(ns) -> int:
         raise UsageError(
             f"unknown function {ns.name!r}; catalog: "
             + ", ".join(sorted(set(_EVAL_CATALOG))))
-    fixed = {}
-    axes = []
+    # an axis spec may stand for one component of a comma list; that
+    # axis is named key[i], with i counted from 0
+    fixed, swept, axes = {}, {}, []
     for key, text in _parse_pairs(ns.args).items():
-        spec = _parse_axis(text)
-        if spec is None:
-            fixed[key] = text
+        parts = text.split(",")
+        specs = [_parse_axis(part) for part in parts]
+        for i, spec in enumerate(specs):
+            if spec is not None:
+                lo, hi, count = spec
+                values = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
+                axes.append((key if len(parts) == 1 else f"{key}[{i}]",
+                             key, i, values))
+        if any(specs):
+            swept[key] = parts
         else:
-            lo, hi, count = spec
-            values = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
-            axes.append((key, values))
+            fixed[key] = text
     if not 1 <= len(axes) <= 2:
         raise UsageError(f"table sweeps one or two axes, got {len(axes)}")
-    header = ",".join([k for k, _ in axes] + ["re", "im"])
-    lines = [header]
-    if len(axes) == 1:
-        key, values = axes[0]
-        points = [((v,), {key: repr(float(v))}) for v in values]
-    else:
-        (k1, v1), (k2, v2) = axes
-        points = [((a, b), {k1: repr(float(a)), k2: repr(float(b))})
-                  for a in v1 for b in v2]
-    for coords, subst in points:
-        value = complex(func({**fixed, **subst}))
+    lines = [",".join([name for name, *_ in axes] + ["re", "im"])]
+    for coords in itertools.product(*[values for *_, values in axes]):
+        texts = {key: list(parts) for key, parts in swept.items()}
+        for (_, key, i, _), v in zip(axes, coords):
+            texts[key][i] = repr(float(v))
+        value = complex(func({**fixed, **{key: ",".join(parts)
+                                          for key, parts in texts.items()}}))
         cells = [f"{c:.16e}" for c in coords]
         lines.append(",".join(cells + [f"{value.real:.16e}",
                                        f"{value.imag:.16e}"]))

@@ -13,23 +13,18 @@ imaginary dust from the series engine itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Cx",
-    "HyperParams",
     "DomainError",
     "PoleError",
-    "ConvergenceError",
     "INTEGRALITY_TOL",
     "gamma_cx",
     "log_gamma_cx",
     "beta_cx",
     "pochhammer",
-    "phyper_terminating",
-    "phyper_convergent",
 ]
 
 # The universal complex value type.  Fields re/im are .real/.imag.
@@ -48,10 +43,6 @@ class DomainError(ValueError):
 
 class PoleError(DomainError):
     """Evaluation at (or within integrality tolerance of) a pole."""
-
-
-class ConvergenceError(RuntimeError):
-    """A series or iteration failed to meet its tolerance contract."""
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +71,8 @@ _LANCZOS_C = np.array([
     3.6899182659531622704e-6,
 ])
 
+_LANCZOS_SHIFTS = np.arange(1.0, len(_LANCZOS_C))[:, None]
+_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -100,25 +93,38 @@ def _nonpositive_int(value) -> int | None:
 
 def _check_gamma_poles(z: np.ndarray, what: str = "gamma") -> None:
     re, im = z.real, z.imag
-    near = (np.abs(im) < INTEGRALITY_TOL) & (np.abs(re - np.round(re)) < INTEGRALITY_TOL) & (np.round(re) <= 0)
+    r = np.round(re)
+    near = (np.abs(im) < INTEGRALITY_TOL) & (np.abs(re - r) < INTEGRALITY_TOL) & (r <= 0)
     if np.any(near):
         bad = np.asarray(z)[near].ravel()[0]
         raise PoleError(f"{what}: argument {bad} is a nonpositive integer (pole)")
 
 
 def _lanczos_sum(x: np.ndarray) -> np.ndarray:
-    # x = z - 1 with Re z >= 1/2.
-    s = np.full(np.shape(x), _LANCZOS_C[0], dtype=np.complex128)
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (x + i)
-    return s
+    # x = z - 1 with Re z >= 1/2.  With x = u + iv each term is
+    # c_i/(x+i) = c_i (u+i - iv) / ((u+i)^2 + v^2), so both parts are one
+    # real matrix-vector product, exactly conjugate-symmetric in v.
+    shape = np.shape(x)
+    x = np.ravel(x)
+    v = x.imag
+    with np.errstate(over="ignore"):
+        v2 = v * v  # inf past |v| ~ 1e154, where every term is an exact 0
+    u = _LANCZOS_SHIFTS + x.real
+    r = u * u
+    r += v2
+    np.reciprocal(r, out=r)
+    s = np.empty(x.shape, dtype=np.complex128)
+    s.imag = -v * (_LANCZOS_C[1:] @ r)
+    r *= u
+    s.real = _LANCZOS_C[0] + _LANCZOS_C[1:] @ r
+    return s.reshape(shape)
 
 
 def _gamma_right(z: np.ndarray) -> np.ndarray:
     # Re z >= 1/2 only.
     x = z - 1.0
     t = x + _LANCZOS_G + 0.5
-    return np.sqrt(2.0 * np.pi) * t ** (x + 0.5) * np.exp(-t) * _lanczos_sum(x)
+    return _SQRT_TWO_PI * np.exp((x + 0.5) * np.log(t) - t) * _lanczos_sum(x)
 
 
 def gamma_cx(z):
@@ -131,12 +137,14 @@ def gamma_cx(z):
     zc = np.asarray(z, dtype=np.complex128)
     scalar = zc.ndim == 0
     zc = np.atleast_1d(zc)
-    _check_gamma_poles(zc)
-    out = np.empty_like(zc)
     right = zc.real >= 0.5
-    if np.any(right):
-        out[right] = _gamma_right(zc[right])
-    if not np.all(right):
+    if right.all():  # no pole lies right of Re z = 1/2
+        out = _gamma_right(zc)
+    else:
+        _check_gamma_poles(zc)
+        out = np.empty_like(zc)
+        if right.any():
+            out[right] = _gamma_right(zc[right])
         w = zc[~right]
         out[~right] = np.pi / (np.sin(np.pi * w) * _gamma_right(1.0 - w))
     return complex(out[0]) if scalar else out.reshape(np.shape(np.asarray(z)))
@@ -258,23 +266,6 @@ def _signed_log_pochhammer(alpha: float, n: int) -> tuple[float, float]:
 # Generalized hypergeometric series
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HyperParams:
-    """Parameters of a pFq: numerator a_i, denominator b_i, argument x.
-
-    Entries may be scalars or broadcastable numpy arrays; termination and
-    pole semantics are read off the scalar entries only.
-    """
-    numerator: tuple
-    denominator: tuple
-    argument: object
-
-    def __init__(self, numerator, denominator, argument):
-        object.__setattr__(self, "numerator", tuple(numerator))
-        object.__setattr__(self, "denominator", tuple(denominator))
-        object.__setattr__(self, "argument", argument)
-
-
 def _series_dtype(values) -> type:
     for v in values:
         if np.iscomplexobj(np.asarray(v)):
@@ -290,13 +281,13 @@ def _pfq_terminating(numerator, denominator, argument):
     stops = [-m for a in numerator if (m := _nonpositive_int(a)) is not None]
     if not stops:
         raise DomainError(
-            "phyper_terminating: no numerator parameter is a nonpositive integer")
+            "terminating pFq: no numerator parameter is a nonpositive integer")
     n_terms = min(stops)  # series stops at the first vanishing factor
     for b in denominator:
         m = _nonpositive_int(b)
         if m is not None and -m < n_terms:
             raise PoleError(
-                f"phyper_terminating: denominator parameter {b} hits a "
+                f"terminating pFq: denominator parameter {b} hits a "
                 f"nonpositive integer before the series terminates")
     dtype = _series_dtype(list(numerator) + list(denominator) + [argument])
     shape = np.broadcast_shapes(*[np.shape(v) for v in
@@ -313,54 +304,3 @@ def _pfq_terminating(numerator, denominator, argument):
         term = term * factor
         total = total + term
     return total if shape else total[()]
-
-
-def phyper_terminating(p: HyperParams):
-    """Terminating pFq: exact finite sum of N+1 terms where N is the
-    smallest magnitude among nonpositive-integer numerator parameters."""
-    return _pfq_terminating(p.numerator, p.denominator, p.argument)
-
-
-def phyper_convergent(p: HyperParams, tol: float, max_terms: int = 10000,
-                      return_estimate: bool = False):
-    """Convergent pFq for |x| < 1 and p <= q+1, by direct summation.
-
-    Stops when |term| < tol*|partial sum| for 3 consecutive terms; raises
-    ConvergenceError otherwise.  With return_estimate=True the a
-    posteriori error estimate accompanies the value.
-    """
-    num, den, x = p.numerator, p.denominator, p.argument
-    if len(num) > len(den) + 1:
-        raise DomainError("phyper_convergent: requires p <= q+1")
-    xs = complex(np.asarray(x, dtype=np.complex128))
-    if abs(xs) >= 1.0:
-        raise DomainError("phyper_convergent: requires |x| < 1 (strict)")
-    for b in den:
-        if _nonpositive_int(b) is not None:
-            raise PoleError(
-                f"phyper_convergent: denominator parameter {b} is a nonpositive integer")
-    dtype = _series_dtype(list(num) + list(den) + [x])
-    term = np.asarray(1.0, dtype=dtype)[()]
-    total = term
-    small_run = 0
-    tail = [abs(term)]
-    for j in range(max_terms):
-        factor = xs / (j + 1.0) if dtype is np.complex128 else xs.real / (j + 1.0)
-        for a in num:
-            factor = factor * (a + j)
-        for b in den:
-            factor = factor / (b + j)
-        term = term * factor
-        total = total + term
-        tail.append(abs(term))
-        if abs(term) < tol * max(abs(total), 1e-300):
-            small_run += 1
-            if small_run >= 3:
-                estimate = sum(tail[-3:])
-                value = complex(total) if dtype is np.complex128 else float(total)
-                return (value, estimate) if return_estimate else value
-        else:
-            small_run = 0
-    raise ConvergenceError(
-        f"phyper_convergent: no convergence after {max_terms} terms "
-        f"(last |term| = {abs(term):.3e})")

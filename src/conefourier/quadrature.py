@@ -182,8 +182,17 @@ def _de_tables(a: float, b: float):
     return table, tail_factor
 
 
+# Acceptance starts at level 3, so levels 0-3 are always evaluated: their
+# nodes go to the integrand in one call.
+_FIRST_LEVELS = 4
+
+
 def _de_integrate(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:
     table, tail_factor = _de_tables(a, b)
+    first = [table(level) for level in range(_FIRST_LEVELS)]
+    first_fx = np.split(
+        np.asarray(f(np.concatenate([x for x, _ in first])), dtype=np.complex128),
+        np.cumsum([x.size for x, _ in first[:-1]]))
     partial = 0.0 + 0.0j
     sums = []
     evals = 0
@@ -191,9 +200,10 @@ def _de_integrate(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResul
     err = math.inf
     tail = math.inf
     for level in range(cfg.max_levels + 1):
-        x, w = table(level)
+        x, w = first[level] if level < _FIRST_LEVELS else table(level)
         if x.size:
-            fx = np.asarray(f(x), dtype=np.complex128)
+            fx = (first_fx[level] if level < _FIRST_LEVELS
+                  else np.asarray(f(x), dtype=np.complex128))
             partial = partial + np.sum(fx * w)
             evals += x.size
             # honest truncation term: the integrand tail beyond the

@@ -533,7 +533,8 @@ def _family_axis_factor(xj, j: int, k: MultiIndex, pp: ParsevalParams,
     a1, a2, abs_a = pp.a1, pp.a2, pp.abs_a
     xj = np.asarray(xj)
     base = a1 + tail / 2.0 + (d - j) / 4.0
-    gg = gamma_cx(base - 0.5 * xj) * gamma_cx(base + 0.5 * xj)
+    pair = gamma_cx(np.stack((base - 0.5 * xj, base + 0.5 * xj)))
+    gg = pair[0] * pair[1]
     xj = np.where(gg == 0.0, 0.0, xj)
     if form == "hyper":
         return gg * _pfq_terminating(

@@ -211,6 +211,31 @@ def test_table_two_axes_lexicographic(capsys):
     assert keys == sorted(keys)
 
 
+def _parse_eval(text):
+    # "re" or "re +/- im i", as printed by eval
+    parts = text.split()
+    if len(parts) == 1:
+        return complex(float(parts[0]), 0.0)
+    sign = 1.0 if parts[1] == "+" else -1.0
+    return complex(float(parts[0]), sign * float(parts[2]))
+
+
+def test_table_sweeps_one_vector_component(capsys):
+    fixed = ["k=1,0", "a=0.8", "mu=0.6"]
+    code, out, _ = run_cli(capsys, "table", "ft-f", *fixed, "xi=0.5,-4:4:5")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "xi[1],re,im"
+    assert len(lines) == 6
+    for row in lines[1:]:
+        xi, re, im = (float(v) for v in row.split(","))
+        code, text, _ = run_cli(capsys, "eval", "ft-f", *fixed,
+                                f"xi=0.5,{xi!r}")
+        assert code == 0
+        want = _parse_eval(text)
+        assert abs(complex(re, im) - want) <= 1e-15 * abs(want)
+
+
 # --------------------------------------------------------------- config
 
 def test_config_round_trip(tmp_path, capsys):

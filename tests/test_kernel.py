@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conefourier import (ConvergenceError, DomainError, HyperParams,
-                         PoleError, beta_cx, gamma_cx, log_gamma_cx,
-                         phyper_convergent, phyper_terminating, pochhammer)
+from conefourier import (DomainError, PoleError, beta_cx, gamma_cx,
+                         log_gamma_cx, pochhammer)
+from conefourier.kernel import _LANCZOS_C, _lanczos_sum, _pfq_terminating
 
 
 # ---------------------------------------------------------------- gamma
@@ -68,6 +69,58 @@ def test_gamma_conjugate_symmetry():
         a = gamma_cx(np.conj(z))
         b = np.conj(gamma_cx(z))
         assert abs(a - b) / abs(b) < 1e-14
+
+
+def _straddling_points(n, seed):
+    # interleaved points on both sides of Re z = 1/2, clear of the poles
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-4.0, 6.0, n) + 1j * rng.uniform(-20.0, 20.0, n)
+    z.real[::2] = np.abs(z.real[::2]) + 0.5
+    z.real[1::2] = -np.abs(z.real[1::2]) + 0.45
+    z.imag[np.abs(z.imag) < 0.1] += 0.3
+    return z
+
+
+def test_gamma_array_conjugate_symmetry_is_exact():
+    z = _straddling_points(200, 14)
+    assert np.array_equal(gamma_cx(np.conj(z)), np.conj(gamma_cx(z)))
+
+
+def test_gamma_array_matches_scalar_calls():
+    z = _straddling_points(101, 15).reshape(1, 101)
+    got = gamma_cx(z)
+    assert got.shape == (1, 101)
+    want = np.array([gamma_cx(complex(v)) for v in z.ravel()])
+    # only the summation order of the Lanczos series may differ
+    assert np.all(np.abs(got.ravel() - want) <= 1e-14 * np.abs(want))
+
+
+def test_lanczos_sum_matches_term_loop():
+    # reference: the series summed term by term in complex arithmetic;
+    # 16 eps of the absolute term sum covers 14 terms' reordered roundings
+    rng = np.random.default_rng(16)
+    x = rng.uniform(-0.5, 30.0, 2000) + 1j * rng.uniform(-50.0, 50.0, 2000)
+    want = np.full(x.shape, _LANCZOS_C[0], dtype=np.complex128)
+    size = np.full(x.shape, abs(_LANCZOS_C[0]))
+    for i in range(1, len(_LANCZOS_C)):
+        want += _LANCZOS_C[i] / (x + i)
+        size += np.abs(_LANCZOS_C[i] / (x + i))
+    got = _lanczos_sum(x)
+    assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * size)
+
+
+def test_gamma_pole_inside_array():
+    with pytest.raises(PoleError):
+        gamma_cx(np.array([1.5 + 2.0j, 0.7, -3.0, 2.5 - 1.0j]))
+
+
+def test_gamma_underflow_is_exact_zero_without_warning():
+    z = np.array([0.8 + 1e160j, 0.8 - 1e160j, 3.0 + 1e300j, 0.8 + 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gamma_cx(z)
+    assert np.all(got[:3] == 0.0)
+    assert got[3] == gamma_cx(0.8 + 1j)
 
 
 # ------------------------------------------------------------ log_gamma
@@ -158,12 +211,12 @@ def test_pochhammer_recurrence(n, alpha):
 
 def test_terminating_2f1_one_step():
     b, c, z = 1.7, 2.4, 0.35
-    got = phyper_terminating(HyperParams((-1, b), (c,), z))
+    got = _pfq_terminating((-1, b), (c,), z)
     assert got == pytest.approx(1 - b * z / c, rel=1e-14)
 
 
 def test_terminating_2f1_argument_two():
-    got = phyper_terminating(HyperParams((-2, 1), (1,), 2))
+    got = _pfq_terminating((-2, 1), (1,), 2)
     assert got == pytest.approx(1.0, rel=1e-13)  # 1 - 4 + 4
 
 
@@ -183,23 +236,23 @@ def test_terminating_3f2_complex_vs_direct_sum():
         term = rise(num[0], m) * rise(num[1], m) * rise(num[2], m)
         term /= rise(den[0], m) * rise(den[1], m) * math.factorial(m)
         oracle += term
-    got = phyper_terminating(HyperParams(num, den, 1))
+    got = _pfq_terminating(num, den, 1)
     assert got == pytest.approx(oracle, rel=1e-14)
 
 
 def test_terminating_requires_nonpositive_numerator():
     with pytest.raises(DomainError):
-        phyper_terminating(HyperParams((0.5, 1.2), (2.0,), 1.0))
+        _pfq_terminating((0.5, 1.2), (2.0,), 1.0)
 
 
 def test_terminating_denominator_pole_before_stop():
     with pytest.raises(PoleError):
-        phyper_terminating(HyperParams((-5, 1), (-3,), 1.0))
+        _pfq_terminating((-5, 1), (-3,), 1.0)
 
 
 def test_terminating_denominator_pole_after_stop_is_fine():
     # series stops at 2 terms; the -3 denominator is never reached
-    got = phyper_terminating(HyperParams((-1, 2), (-3,), 1.0))
+    got = _pfq_terminating((-1, 2), (-3,), 1.0)
     assert got == pytest.approx(1 + 2.0 / 3.0, rel=1e-14)
 
 
@@ -209,42 +262,6 @@ def test_terminating_denominator_pole_after_stop_is_fine():
        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_terminating_real_inputs_stay_real(n, b, c, z):
-    got = phyper_terminating(HyperParams((-n, b), (c,), z))
+    got = _pfq_terminating((-n, b), (c,), z)
     got = complex(got)
     assert abs(got.imag) <= 1e-13 * abs(got.real) or abs(got) < 1e-290
-
-
-# ------------------------------------------------- convergent series
-
-def test_convergent_2f1_log_case():
-    got = phyper_convergent(HyperParams((1, 1), (2,), 0.5), 1e-14)
-    assert got == pytest.approx(2 * math.log(2.0), rel=1e-12)
-
-
-def test_convergent_1f1_exponential():
-    got = phyper_convergent(HyperParams((1,), (1,), 0.3), 1e-14)
-    assert got == pytest.approx(math.exp(0.3), rel=1e-12)
-
-
-def test_convergent_2f1_vs_brute_force():
-    # literal high-precision partial sum, 10^4 terms
-    with mpmath.workdps(40):
-        a, b, c, z = map(mpmath.mpf, ("0.5", "0.7", "1.9", "0.4"))
-        term = mpmath.mpf(1)
-        total = mpmath.mpf(1)
-        for j in range(10000):
-            term *= (a + j) * (b + j) / (c + j) * z / (j + 1)
-            total += term
-        oracle = float(total)
-    got = phyper_convergent(HyperParams((0.5, 0.7), (1.9,), 0.4), 1e-14)
-    assert got == pytest.approx(oracle, rel=1e-12)
-
-
-def test_convergent_rejects_unit_argument():
-    with pytest.raises(DomainError):
-        phyper_convergent(HyperParams((1, 1), (3,), 1.0), 1e-10)
-
-
-def test_convergent_error_after_max_terms():
-    with pytest.raises(ConvergenceError):
-        phyper_convergent(HyperParams((1, 1), (2,), 0.99), 1e-15, max_terms=5)

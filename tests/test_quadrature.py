@@ -26,6 +26,31 @@ def test_unit_interval():
     _check_contract(res, cfg)
 
 
+def test_de_ladder_batches_first_four_levels():
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x))
+        return 1.0 / (1.0 + 25.0 * x * x)
+
+    # unreachable tolerances run the whole ladder, levels 0..6
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_levels=6)
+    with pytest.raises(NonConvergenceError) as err:
+        integrate_1d(f, (-1.0, 1.0), cfg)
+    levels = [quadrature._tanh_sinh_table(level)[0] for level in range(7)]
+    assert len(calls) == 4
+    np.testing.assert_array_equal(calls[0], np.concatenate(levels[:4]))
+    for got, want in zip(calls[1:], levels[4:]):
+        np.testing.assert_array_equal(got, want)
+    assert err.value.result.evaluations == sum(x.size for x in levels)
+    # the unit-interval integral keeps the per-level ladder's figures
+    calls.clear()
+    res = integrate_1d(lambda x: calls.append(x) or np.ones_like(x), (0.0, 1.0))
+    assert len(calls) == 1
+    assert res.evaluations == 49
+    assert res.value == 0.9999999999999971
+
+
 def test_endpoint_singular_arcsine():
     # the sigma = -1/2 wall: node truncation discards a sqrt-sized chunk
     # of singular mass, so the rule certifies ~1e-7 here, honestly
