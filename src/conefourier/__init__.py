@@ -6,9 +6,8 @@ library claims.
 
 from .kernel import (Cx, DomainError, PoleError, beta_cx, gamma_cx,
                      log_gamma_cx, pochhammer)
-from .multivariate import (BallPoint, ConePoint, JacobiConeParams,
-                           LaguerreConeParams, MultiIndex, ball_norm, ball_op,
-                           ball_weight, cone_basis,
+from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
+                           ball_norm, ball_op, ball_weight, cone_basis,
                            cone_inner_product_separated, jacobi_cone,
                            laguerre_cone, space_dimension)
 from .quadrature import (IntegralResult, NonConvergenceError,
@@ -21,9 +20,8 @@ from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
                          f_d_via_g2, ft_f_closed, ft_g_jacobi_closed,
                          ft_g_laguerre_closed, g_jacobi, g_laguerre,
                          lambda_factor, theta_hahn, theta_hyper, xi_factor)
-from .univariate import (GegenbauerSpec, HahnSpec, continuous_hahn,
-                         gegenbauer, gegenbauer_norm, jacobi, jacobi_norm,
-                         laguerre, laguerre_norm)
+from .univariate import (continuous_hahn, gegenbauer, gegenbauer_norm, jacobi,
+                         jacobi_norm, laguerre, laguerre_norm)
 from .verify import (IDENTITY_IDS, CheckReport, SuiteResult, check_identity,
                      default_grids, run_suite)
 
@@ -32,8 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Cx", "DomainError", "PoleError",
     "beta_cx", "gamma_cx", "log_gamma_cx", "pochhammer",
-    "BallPoint", "ConePoint", "JacobiConeParams", "LaguerreConeParams",
-    "MultiIndex", "ball_norm", "ball_op", "ball_weight", "cone_basis",
+    "JacobiConeParams", "LaguerreConeParams", "MultiIndex", "ball_norm", "ball_op", "ball_weight", "cone_basis",
     "cone_inner_product_separated", "jacobi_cone", "laguerre_cone",
     "space_dimension",
     "IntegralResult", "NonConvergenceError", "QuadratureConfig",
@@ -43,7 +40,7 @@ __all__ = [
     "b_family", "b_family_factors", "b_norm_rhs", "f_d", "f_d_via_g1", "f_d_via_g2", "ft_f_closed",
     "ft_g_jacobi_closed", "ft_g_laguerre_closed", "g_jacobi", "g_laguerre",
     "lambda_factor", "theta_hahn", "theta_hyper", "xi_factor",
-    "GegenbauerSpec", "HahnSpec", "continuous_hahn", "gegenbauer",
+    "continuous_hahn", "gegenbauer",
     "gegenbauer_norm", "jacobi", "jacobi_norm", "laguerre", "laguerre_norm",
     "IDENTITY_IDS", "CheckReport", "SuiteResult", "check_identity",
     "default_grids", "run_suite",

@@ -17,7 +17,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -593,12 +592,8 @@ def _cmd_suite(ns) -> int:
         for ident in selection:
             if ident not in IDENTITY_IDS:
                 raise UsageError(f"unknown identity {ident!r}")
-    jobs = ns.jobs if ns.jobs is not None else (os.cpu_count() or 1)
-    if jobs < 1:
-        raise UsageError("--jobs must be at least 1")
     result = run_suite(selection, grids=cfg.grids, cfg=cfg.quadrature,
-                       jobs=jobs, seed=cfg.seed,
-                       record_timing=ns.record_timing)
+                       seed=cfg.seed, record_timing=ns.record_timing)
     text = _suite_csv(result) if cfg.format == "csv" else _suite_json(result)
     out = ns.out or cfg.out
     if out:
@@ -697,7 +692,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--ids", nargs="*")
     ps.add_argument("--config")
     ps.add_argument("--out")
-    ps.add_argument("--jobs", type=int, default=None)
     ps.add_argument("--record-timing", action="store_true")
     ps.set_defaults(fn=_cmd_suite)
 

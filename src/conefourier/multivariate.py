@@ -19,8 +19,6 @@ from .univariate import gegenbauer, jacobi, laguerre
 
 __all__ = [
     "MultiIndex",
-    "BallPoint",
-    "ConePoint",
     "LaguerreConeParams",
     "JacobiConeParams",
     "space_dimension",
@@ -112,47 +110,6 @@ def _as_multiindex(k) -> MultiIndex:
 
 
 @dataclass(frozen=True)
-class BallPoint:
-    """A point of the closed unit ball; coordinates are scalars."""
-    coordinates: tuple
-
-    def __init__(self, coordinates):
-        coords = tuple(float(c) for c in coordinates)
-        if sum(c * c for c in coords) > 1.0 + _BOUNDARY_SLACK:
-            raise DomainError(f"BallPoint outside the unit ball: {coords}")
-        object.__setattr__(self, "coordinates", coords)
-
-    @property
-    def d(self) -> int:
-        return len(self.coordinates)
-
-    def partial_norm_sq(self, j: int) -> float:
-        """||x_j||^2 = x_1^2 + ... + x_j^2 (zero at j = 0)."""
-        return sum(c * c for c in self.coordinates[:j])
-
-
-@dataclass(frozen=True)
-class ConePoint:
-    """A point (t, x) of the cone ||x|| <= t."""
-    t: float
-    x: tuple
-
-    def __init__(self, t, x):
-        t = float(t)
-        coords = tuple(float(c) for c in x)
-        if t < 0.0:
-            raise DomainError(f"ConePoint requires t >= 0, got t = {t}")
-        if math.sqrt(sum(c * c for c in coords)) > t + _BOUNDARY_SLACK * max(1.0, t):
-            raise DomainError(f"ConePoint outside the cone: t = {t}, x = {coords}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", coords)
-
-    @property
-    def d(self) -> int:
-        return len(self.x)
-
-
-@dataclass(frozen=True)
 class LaguerreConeParams:
     """Weight parameters (beta, mu) of the Laguerre cone family; the
     constraint beta > -d is checked where the dimension is known."""
@@ -195,11 +152,8 @@ def space_dimension(n: int, d: int) -> int:
 
 
 def _coords(p, d: int):
-    """Extract d coordinate arrays from a BallPoint, sequence, or array."""
-    if isinstance(p, BallPoint):
-        coords = [np.asarray(c, dtype=np.float64) for c in p.coordinates]
-    else:
-        coords = [np.asarray(c, dtype=np.float64) for c in p]
+    """Extract d coordinate arrays from a sequence or array."""
+    coords = [np.asarray(c, dtype=np.float64) for c in p]
     if len(coords) != d:
         raise DomainError(f"expected {d} coordinates, got {len(coords)}")
     return coords
@@ -207,8 +161,7 @@ def _coords(p, d: int):
 
 def ball_weight(mu: float, p):
     """(1 - ||p||^2)^(mu - 1/2), the classical weight on the unit ball."""
-    coords = [np.asarray(c, dtype=np.float64) for c in
-              (p.coordinates if isinstance(p, BallPoint) else p)]
+    coords = [np.asarray(c, dtype=np.float64) for c in p]
     nsq = sum(c * c for c in coords)
     comp = 1.0 - nsq
     if mu < 0.5 and np.any(comp <= 0.0):
@@ -279,14 +232,8 @@ def ball_norm(k, mu: float) -> float:
 
 
 def _cone_point(p, d: int):
-    if isinstance(p, ConePoint):
-        t = np.asarray(p.t, dtype=np.float64)
-        coords = [np.asarray(c, dtype=np.float64) for c in p.x]
-    else:
-        t = np.asarray(p[0], dtype=np.float64)
-        coords = [np.asarray(c, dtype=np.float64) for c in p[1]]
-    if len(coords) != d:
-        raise DomainError(f"expected {d} cone coordinates, got {len(coords)}")
+    t = np.asarray(p[0], dtype=np.float64)
+    coords = _coords(p[1], d)
     if np.any(t <= 0.0):
         raise DomainError("cone basis evaluation requires t > 0")
     return t, coords
@@ -315,40 +262,33 @@ def laguerre_cone(k, n: int, params: LaguerreConeParams, p):
     """Laguerre cone basis L_{n-m}^(2m+2mu+beta+d-1)(t) t^m P_k^mu(x/t)."""
     k = _as_multiindex(k)
     params.validate_dimension(k.d)
-    m = k.total
-    if n < m:
-        raise DomainError(f"laguerre_cone requires |k| <= n, got |k| = {m} > n = {n}")
-    t, coords = _cone_point(p, k.d)
-    alpha = 2.0 * m + 2.0 * params.mu + params.beta + k.d - 1.0
-    radial = laguerre(n - m, alpha, t)
-    return radial * t ** m * ball_op(k, params.mu, [c / t for c in coords])
+    return cone_basis(lambda deg, alpha, t: laguerre(deg, alpha + params.beta, t),
+                      k, n, p, params.mu)
 
 
 def jacobi_cone(k, n: int, params: JacobiConeParams, p):
     """Jacobi cone basis P_{n-m}^((2m+2mu+beta+d-1, gamma))(1-2t) t^m P_k^mu(x/t)."""
     k = _as_multiindex(k)
     params.validate_dimension(k.d)
-    m = k.total
-    if n < m:
-        raise DomainError(f"jacobi_cone requires |k| <= n, got |k| = {m} > n = {n}")
-    t, coords = _cone_point(p, k.d)
-    alpha = 2.0 * m + 2.0 * params.mu + params.beta + k.d - 1.0
-    radial = jacobi(n - m, alpha, params.gamma, 1.0 - 2.0 * t)
-    return radial * t ** m * ball_op(k, params.mu, [c / t for c in coords])
+    return cone_basis(lambda deg, alpha, t: jacobi(deg, alpha + params.beta,
+                                                   params.gamma, 1.0 - 2.0 * t),
+                      k, n, p, params.mu)
 
 
-def _ball_boxes(d: int):
-    """Iterated-integral bounds for the unit ball B^d: coordinate j ranges
-    over +-sqrt(1 - ||y_{<j}||^2)."""
-    boxes = [(-1.0, 1.0)]
-    for j in range(1, d):
-        def lo(*outer, _j=j):
-            r = math.sqrt(max(0.0, 1.0 - sum(v * v for v in outer[-_j:])))
-            return -r
-        def hi(*outer, _j=j):
-            return math.sqrt(max(0.0, 1.0 - sum(v * v for v in outer[-_j:])))
-        boxes.append((lo, hi))
-    return boxes
+def _cube_to_ball(s):
+    """Map cube coordinates s in (-1, 1)^d onto the unit ball by
+    y_j = s_j sqrt(1 - ||y_{<j}||^2).  Returns (y, Jacobian, 1 - ||y||^2);
+    the last is the product of the (1 - s_j^2), which stays positive and
+    accurate next to the sphere."""
+    y = []
+    jac = 1.0
+    rest = 1.0  # 1 - ||y_{<j}||^2
+    for sj in s:
+        r = np.sqrt(rest)
+        y.append(sj * r)
+        jac = jac * r
+        rest = rest * ((1.0 - sj) * (1.0 + sj))
+    return y, jac, rest
 
 
 def cone_inner_product_separated(f, g, d: int, params, cfg=None):
@@ -359,7 +299,9 @@ def cone_inner_product_separated(f, g, d: int, params, cfg=None):
                 t^(d+2mu-1) w(t) dt,
 
     with (T, w) = (inf, t^beta e^-t) for Laguerre parameters and
-    (1, t^beta (1-t)^gamma) for Jacobi parameters.
+    (1, t^beta (1-t)^gamma) for Jacobi parameters.  The ball integral
+    runs over the cube (-1, 1)^d, mapped onto the ball by
+    y_j = s_j sqrt(1 - ||y_{<j}||^2).
 
     f and g take (t, x) where x is a length-d coordinate sequence; both
     must be vectorized over coordinate arrays.  Returns the
@@ -384,17 +326,15 @@ def cone_inner_product_separated(f, g, d: int, params, cfg=None):
         def t_weight(t):
             return t ** (d + 2.0 * mu - 1.0 + beta) * np.exp(-t)
 
-    def integrand(t, *ys):
-        y = list(ys)
-        nsq = sum(v * v for v in y)
+    def integrand(t, *s):
+        y, jac, rest = _cube_to_ball(s)
         # the exp-sinh t-ladder probes magnitudes where t^p overflows
         # while e^-t underflows; the true product is below 1e-230 past
-        # t = 600, so report an exact zero instead of inf * 0
-        if t > _T_TAIL_CUTOFF:
-            return np.zeros(np.shape(nsq))
+        # t = 600, so those points are an exact zero instead of inf * 0
+        dead = t > _T_TAIL_CUTOFF
+        t = np.where(dead, 1.0, t)
         x = [t * v for v in y]
-        return (f(t, x) * g(t, x) * np.maximum(1.0 - nsq, 0.0) ** (mu - 0.5)
-                * t_weight(t))
+        value = f(t, x) * g(t, x) * rest ** (mu - 0.5) * jac * t_weight(t)
+        return np.where(dead, 0.0, value)
 
-    boxes = [t_box] + _ball_boxes(d)
-    return integrate_tensor(integrand, boxes, cfg)
+    return integrate_tensor(integrand, [t_box] + [(-1.0, 1.0)] * d, cfg)

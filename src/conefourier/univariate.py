@@ -11,12 +11,10 @@ Arguments may be scalars or numpy arrays (broadcasting elementwise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import (
-    Cx,
     DomainError,
     _pfq_terminating,
     _signed_log_pochhammer,
@@ -24,8 +22,6 @@ from .kernel import (
 )
 
 __all__ = [
-    "GegenbauerSpec",
-    "HahnSpec",
     "gegenbauer",
     "gegenbauer_norm",
     "laguerre",
@@ -53,45 +49,6 @@ def _check_mu(mu: float) -> float:
     if mu == 0.0:
         raise DomainError("gegenbauer parameter mu = 0 is excluded")
     return float(mu)
-
-
-@dataclass(frozen=True)
-class GegenbauerSpec:
-    """Degree, parameter, and argument of one Gegenbauer evaluation."""
-    n: int
-    mu: float
-    x: float
-
-    def __post_init__(self):
-        _check_degree(self.n)
-        if not self.mu > -0.5:
-            raise DomainError(f"GegenbauerSpec requires mu > -1/2, got {self.mu}")
-
-    def evaluate(self):
-        return gegenbauer(self.n, self.mu, self.x)
-
-
-@dataclass(frozen=True)
-class HahnSpec:
-    """Degree, argument, and the four parameters of one continuous Hahn
-    evaluation.  All fields complex-compatible; finiteness is the only
-    constraint at construction."""
-    k: int
-    x: Cx
-    a: Cx
-    b: Cx
-    c: Cx
-    d: Cx
-
-    def __post_init__(self):
-        _check_degree(self.k)
-        for name in ("x", "a", "b", "c", "d"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise DomainError(f"HahnSpec field {name} must be finite")
-
-    def evaluate(self):
-        return continuous_hahn(self.k, self.x, self.a, self.b, self.c, self.d)
 
 
 def gegenbauer(n: int, mu: float, x):

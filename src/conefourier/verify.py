@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernel import DomainError, gamma_cx, pochhammer
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
-                           _as_multiindex, _ball_boxes, ball_norm, ball_op,
+                           _as_multiindex, _cube_to_ball, ball_norm, ball_op,
                            ball_weight, cone_inner_product_separated,
                            jacobi_cone, laguerre_cone)
 from .quadrature import (IntegralResult, NonConvergenceError, QuadratureConfig,
@@ -234,14 +233,15 @@ def _check_ball_orth(params, cfg):
     if k.d != l.d:
         raise DomainError("ball-orth needs multiindices of equal dimension")
 
-    def integrand(*xs):
-        xs = [np.asarray(x, dtype=np.float64) for x in xs]
-        nsq = sum(x * x for x in xs)
+    def integrand(*s):
+        y, jac, _ = _cube_to_ball(s)
+        nsq = sum(v * v for v in y)
         shrink = np.sqrt(_NSQ_LIMIT / np.maximum(nsq, _NSQ_LIMIT))
-        c = [x * shrink for x in xs]
-        return (ball_op(k, mu, c) * ball_op(l, mu, c) * ball_weight(mu, c))
+        c = [v * shrink for v in y]
+        return (ball_op(k, mu, c) * ball_op(l, mu, c) * ball_weight(mu, c)
+                * jac)
 
-    res = integrate_tensor(integrand, _ball_boxes(k.d), cfg or _CFG_BALL)
+    res = integrate_tensor(integrand, [(-1.0, 1.0)] * k.d, cfg or _CFG_BALL)
     if k == l:
         return res.value, ball_norm(k, mu), None, res.evaluations
     scale = math.sqrt(ball_norm(k, mu) * ball_norm(l, mu))
@@ -576,7 +576,7 @@ def _states_d1(n_max: int):
 def default_grids(seed: int = 0) -> dict:
     """Curated smoke-scale parameter grids, one list per identity.
     Deterministic for a given seed (the sweeps draw from a fixed-seed
-    generator); the full suite runs in about a minute."""
+    generator); the full suite runs in a few seconds."""
     rng = np.random.default_rng(seed)
     grids: dict[str, list] = {}
 
@@ -668,8 +668,8 @@ def default_grids(seed: int = 0) -> dict:
 
 
 def run_suite(selection="all", grids: dict | None = None,
-              cfg: QuadratureConfig | None = None, jobs: int = 1,
-              seed: int = 0, record_timing: bool = False) -> SuiteResult:
+              cfg: QuadratureConfig | None = None, seed: int = 0,
+              record_timing: bool = False) -> SuiteResult:
     """Run the selected identities over their parameter grids.
 
     Reports come back sorted by (id, parameters) regardless of execution
@@ -687,17 +687,7 @@ def run_suite(selection="all", grids: dict | None = None,
                 raise DomainError(f"unknown identity {s!r} in selection")
     if grids is None:
         grids = default_grids(seed)
-    work = [(i, p) for i in ids for p in grids.get(i, [])]
-
-    def one(item):
-        ident, params = item
-        return check_identity(ident, params, cfg)
-
-    if jobs > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, work))
-    else:
-        reports = [one(w) for w in work]
+    reports = [check_identity(i, p, cfg) for i in ids for p in grids.get(i, [])]
     if not record_timing:
         reports = [replace(r, seconds=0.0) for r in reports]
     reports.sort(key=lambda r: (r.id, _param_sort_key(r.params)))

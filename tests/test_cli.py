@@ -139,9 +139,9 @@ def test_suite_empty_ids_exit_0(tmp_path, capsys):
 def test_suite_algebraic_subset_deterministic(tmp_path, capsys):
     f1, f2 = tmp_path / "r1.json", tmp_path / "r2.json"
     code1, _, _ = run_cli(capsys, "suite", "--ids", "theta-dual",
-                          "fd-recursion", "--out", str(f1), "--jobs", "2")
+                          "fd-recursion", "--out", str(f1))
     code2, _, _ = run_cli(capsys, "suite", "--ids", "theta-dual",
-                          "fd-recursion", "--out", str(f2), "--jobs", "2")
+                          "fd-recursion", "--out", str(f2))
     assert code1 == 0 and code2 == 0
     assert f1.read_bytes() == f2.read_bytes()
     doc = json.loads(f1.read_text())

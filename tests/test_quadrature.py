@@ -122,6 +122,49 @@ def test_tensor_first_degree_orthogonality():
     assert abs(res.value) < 1e-10
 
 
+@pytest.mark.parametrize("rule", ["double-exponential", "adaptive-GK"])
+def test_rules_integrate_batches_row_by_row(rule):
+    # a (3, n) batch of integrands against three scalar calls
+    run = (quadrature._de_integrate if rule == "double-exponential"
+           else quadrature._gk_integrate)
+    cfg = QuadratureConfig(rule=rule)
+    c = np.array([-1.0, 0.5, 2.0 + 1.0j])
+    batch = run(lambda x: np.exp(c[:, None] * x), 0.0, 1.0, cfg)
+    assert batch.converged
+    assert np.shape(batch.value) == np.shape(batch.error_estimate) == (3,)
+    scalars = [run(lambda x, ci=ci: np.exp(ci * x), 0.0, 1.0, cfg) for ci in c]
+    for i, (ci, one) in enumerate(zip(c, scalars)):
+        assert one.converged
+        truth = (np.exp(ci) - 1.0) / ci
+        assert abs(batch.value[i] - truth) <= max(cfg.abs_tol,
+                                                  cfg.rel_tol * abs(truth))
+        assert abs(batch.value[i] - one.value) <= (batch.error_estimate[i]
+                                                   + one.error_estimate)
+    if rule == "double-exponential":
+        # rows refine together: the batch stops at the level of its
+        # slowest row, and that row matches its scalar call bit for bit
+        slow = max(range(3), key=lambda i: scalars[i].evaluations)
+        assert batch.evaluations == scalars[slow].evaluations
+        assert batch.value[slow] == scalars[slow].value
+
+
+def test_tensor_3d_slices_to_point_cap():
+    sizes = []
+
+    def f(x, y, z):
+        sizes.append(x.size)
+        assert x.shape == y.shape == z.shape
+        return np.exp(x + 2.0 * y) * np.cos(z)
+
+    res = integrate_tensor(f, [(0, 1), (0, 1), (-1, 1)])
+    assert max(sizes) <= quadrature._MAX_POINTS
+    # the first inner batch alone holds 49^3 points, so calls were sliced
+    assert sum(sizes[:4]) > quadrature._MAX_POINTS
+    assert res.evaluations == sum(sizes)
+    want = (math.e - 1.0) * (math.e ** 2 - 1.0) / 2.0 * 2.0 * math.sin(1.0)
+    assert res.value == pytest.approx(want, rel=1e-10)
+
+
 def test_tensor_failure_names_axis():
     cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_levels=3)
     f = lambda x, y: np.exp(-x) / (1.0 + y * y)
@@ -188,15 +231,6 @@ def test_error_estimate_honesty():
         if abs(res.value - truth) <= 10.0 * res.error_estimate:
             ok += 1
     assert ok >= 95
-
-
-def test_gauss_laguerre_rule():
-    cfg = QuadratureConfig(rule="gauss-laguerre")
-    res = integrate_1d(lambda t: t ** 3 * np.exp(-t), (0.0, math.inf), cfg)
-    assert res.converged
-    assert res.value == pytest.approx(6.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        integrate_1d(lambda t: np.exp(-t), (0.0, 1.0), cfg)
 
 
 def test_fourier_sech_pair():
