@@ -14,6 +14,7 @@ reproduces the run exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ from .kernel import DomainError
 from .multivariate import (JacobiConeParams, LaguerreConeParams, ball_op,
                            jacobi_cone, laguerre_cone)
 from .quadrature import QuadratureConfig
-from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
+from .transforms import (ParsevalParams, TransformParamsJacobi,
                          TransformParamsLaguerre, a_family, b_family, f_d,
                          ft_f_closed, ft_g_jacobi_closed,
                          ft_g_laguerre_closed, g_jacobi, g_laguerre)
@@ -264,61 +265,21 @@ def _c_cxtuple(text):
     return tuple(complex(c) for c in seq)
 
 
-def _c_str(text):
-    return str(text)
-
-
 # ----------------------------------------------------------------------
 # Evaluation catalog
 # ----------------------------------------------------------------------
 
-def _eval_gegenbauer(a):
-    v = _take(a, {"n": (_c_int, True), "mu": (_c_float, True),
-                  "x": (_c_float, True)}, "gegenbauer")
-    return gegenbauer(v["n"], v["mu"], v["x"])
+# The keys a catalog function broadcasts over: table hands a swept point
+# axis to the function as one array, and sweeps any other key value by value.
+_POINT_KEYS = ("x", "t", "xi")
 
-
-def _eval_laguerre(a):
-    v = _take(a, {"n": (_c_int, True), "alpha": (_c_float, True),
-                  "t": (_c_float, True)}, "laguerre")
-    return laguerre(v["n"], v["alpha"], v["t"])
-
-
-def _eval_jacobi(a):
-    v = _take(a, {"n": (_c_int, True), "alpha": (_c_float, True),
-                  "beta": (_c_float, True), "t": (_c_float, True)}, "jacobi")
-    return jacobi(v["n"], v["alpha"], v["beta"], v["t"])
-
-
-def _eval_hahn(a):
-    v = _take(a, {"k": (_c_int, True), "x": (_c_cx, True),
-                  "a": (_c_cx, True), "b": (_c_cx, True),
-                  "c": (_c_cx, True), "d": (_c_cx, True)}, "hahn")
-    return continuous_hahn(v["k"], v["x"], v["a"], v["b"], v["c"], v["d"])
-
-
-def _eval_ball_op(a):
-    v = _take(a, {"k": (_c_ituple, True), "mu": (_c_float, True),
-                  "x": (_c_ftuple, True)}, "ball-op")
-    return ball_op(v["k"], v["mu"], list(v["x"]))
-
-
-def _eval_laguerre_cone(a):
-    v = _take(a, {"k": (_c_ituple, True), "n": (_c_int, True),
-                  "beta": (_c_float, True), "mu": (_c_float, True),
-                  "t": (_c_float, True), "x": (_c_ftuple, True)},
-              "laguerre-cone")
-    params = LaguerreConeParams(v["beta"], v["mu"])
-    return laguerre_cone(v["k"], v["n"], params, (v["t"], list(v["x"])))
-
-
-def _eval_jacobi_cone(a):
-    v = _take(a, {"k": (_c_ituple, True), "n": (_c_int, True),
-                  "beta": (_c_float, True), "mu": (_c_float, True),
-                  "gamma": (_c_float, True), "t": (_c_float, True),
-                  "x": (_c_ftuple, True)}, "jacobi-cone")
-    params = JacobiConeParams(v["beta"], v["mu"], v["gamma"])
-    return jacobi_cone(v["k"], v["n"], params, (v["t"], list(v["x"])))
+_INT, _FLOAT, _CX = (_c_int, True), (_c_float, True), (_c_cx, True)
+_IVEC, _FVEC, _CXVEC = (_c_ituple, True), (_c_ftuple, True), (_c_cxtuple, True)
+_OPTIONAL_MU, _FORM = (_c_float, False), (str, False)
+_LAGUERRE = {"a": _FLOAT, "b": _FLOAT, "beta": _FLOAT, "mu": _FLOAT}
+_JACOBI = {"a": _FLOAT, "b": _FLOAT, "c": _FLOAT, "beta": _FLOAT,
+           "mu": _FLOAT, "gamma": _FLOAT}
+_PARSEVAL = {"a1": _FLOAT, "a2": _FLOAT, "b1": _FLOAT, "b2": _FLOAT}
 
 
 def _mu_for(v, name):
@@ -331,105 +292,89 @@ def _mu_for(v, name):
     return 1.0
 
 
-def _eval_f_d(a):
-    v = _take(a, {"k": (_c_ituple, True), "a": (_c_float, True),
-                  "mu": (_c_float, False), "x": (_c_ftuple, True)}, "f-d")
-    return f_d(v["x"], v["k"], v["a"], _mu_for(v, "f-d"))
+def _laguerre_tp(v):
+    return TransformParamsLaguerre(v["a"], v["b"], v["beta"], v["mu"])
 
 
-def _eval_g_laguerre(a):
-    v = _take(a, {"n": (_c_int, True), "k": (_c_ituple, True),
-                  "a": (_c_float, True), "b": (_c_float, True),
-                  "beta": (_c_float, True), "mu": (_c_float, True),
-                  "t": (_c_float, True), "x": (_c_ftuple, True)},
-              "g-laguerre")
-    params = TransformParamsLaguerre(v["a"], v["b"], v["beta"], v["mu"])
-    return g_laguerre(v["t"], v["x"], v["k"], v["n"], params)
+def _jacobi_tp(v):
+    return TransformParamsJacobi(v["a"], v["b"], v["c"], v["beta"], v["mu"],
+                                 v["gamma"])
 
 
-def _eval_g_jacobi(a):
-    v = _take(a, {"n": (_c_int, True), "k": (_c_ituple, True),
-                  "a": (_c_float, True), "b": (_c_float, True),
-                  "c": (_c_float, True), "beta": (_c_float, True),
-                  "mu": (_c_float, True), "gamma": (_c_float, True),
-                  "t": (_c_float, True), "x": (_c_ftuple, True)}, "g-jacobi")
-    params = TransformParamsJacobi(v["a"], v["b"], v["c"], v["beta"],
-                                   v["mu"], v["gamma"])
-    return g_jacobi(v["t"], v["x"], v["k"], v["n"], params)
-
-
-def _eval_ft_f(a):
-    v = _take(a, {"k": (_c_ituple, True), "a": (_c_float, True),
-                  "mu": (_c_float, False), "xi": (_c_ftuple, True)},
-              "ft-f-closed")
-    return ft_f_closed(v["k"], v["a"], _mu_for(v, "ft-f-closed"),
-                       FreqVector(v["xi"]))
-
-
-def _eval_ft_g_laguerre(a):
-    v = _take(a, {"n": (_c_int, True), "k": (_c_ituple, True),
-                  "a": (_c_float, True), "b": (_c_float, True),
-                  "beta": (_c_float, True), "mu": (_c_float, True),
-                  "xi": (_c_ftuple, True)}, "ft-g-laguerre-closed")
-    params = TransformParamsLaguerre(v["a"], v["b"], v["beta"], v["mu"])
-    return ft_g_laguerre_closed(v["k"], v["n"], params, FreqVector(v["xi"]))
-
-
-def _eval_ft_g_jacobi(a):
-    v = _take(a, {"n": (_c_int, True), "k": (_c_ituple, True),
-                  "a": (_c_float, True), "b": (_c_float, True),
-                  "c": (_c_float, True), "beta": (_c_float, True),
-                  "mu": (_c_float, True), "gamma": (_c_float, True),
-                  "xi": (_c_ftuple, True)}, "ft-g-jacobi-closed")
-    params = TransformParamsJacobi(v["a"], v["b"], v["c"], v["beta"],
-                                   v["mu"], v["gamma"])
-    return ft_g_jacobi_closed(v["k"], v["n"], params, FreqVector(v["xi"]))
-
-
-def _eval_a_family(a):
-    v = _take(a, {"n": (_c_int, True), "k": (_c_ituple, True),
-                  "t": (_c_cx, True), "x": (_c_cxtuple, True),
-                  "a1": (_c_float, True), "a2": (_c_float, True),
-                  "b1": (_c_float, True), "b2": (_c_float, True),
-                  "form": (_c_str, False)}, "a-family")
-    pp = ParsevalParams(v["a1"], v["a2"], v["b1"], v["b2"])
-    return a_family(v["t"], v["x"], v["k"], v["n"], pp,
-                    form=v.get("form", "hyper"))
-
-
-def _eval_b_family(a):
-    v = _take(a, {"n": (_c_int, True), "k": (_c_ituple, True),
-                  "t": (_c_cx, True), "x": (_c_cxtuple, True),
-                  "a1": (_c_float, True), "a2": (_c_float, True),
-                  "b1": (_c_float, True), "b2": (_c_float, True),
-                  "c1": (_c_float, True), "c2": (_c_float, True),
-                  "form": (_c_str, False)}, "b-family")
-    pp = ParsevalParams(v["a1"], v["a2"], v["b1"], v["b2"], v["c1"], v["c2"])
-    return b_family(v["t"], v["x"], v["k"], v["n"], pp,
-                    form=v.get("form", "hyper"))
-
-
-_EVAL_CATALOG = {
-    "gegenbauer": _eval_gegenbauer,
-    "laguerre": _eval_laguerre,
-    "jacobi": _eval_jacobi,
-    "hahn": _eval_hahn,
-    "ball-op": _eval_ball_op,
-    "laguerre-cone": _eval_laguerre_cone,
-    "jacobi-cone": _eval_jacobi_cone,
-    "f-d": _eval_f_d,
-    "g-laguerre": _eval_g_laguerre,
-    "g-jacobi": _eval_g_jacobi,
-    "ft-f-closed": _eval_ft_f,
-    "ft-g-laguerre-closed": _eval_ft_g_laguerre,
-    "ft-g-jacobi-closed": _eval_ft_g_jacobi,
-    "a-family": _eval_a_family,
-    "b-family": _eval_b_family,
-    # short aliases for the closed transforms
-    "ft-f": _eval_ft_f,
-    "ft-g-laguerre": _eval_ft_g_laguerre,
-    "ft-g-jacobi": _eval_ft_g_jacobi,
+# name -> (evaluator of the converted arguments v, spec: key -> (converter,
+# required)).  The evaluators look the library functions up at call time,
+# so that a wrapper installed on this module's names sees every call.
+_CATALOG = {
+    "gegenbauer": (lambda v: gegenbauer(v["n"], v["mu"], v["x"]),
+                   {"n": _INT, "mu": _FLOAT, "x": _FLOAT}),
+    "laguerre": (lambda v: laguerre(v["n"], v["alpha"], v["t"]),
+                 {"n": _INT, "alpha": _FLOAT, "t": _FLOAT}),
+    "jacobi": (lambda v: jacobi(v["n"], v["alpha"], v["beta"], v["t"]),
+               {"n": _INT, "alpha": _FLOAT, "beta": _FLOAT, "t": _FLOAT}),
+    "hahn": (lambda v: continuous_hahn(v["k"], v["x"], v["a"], v["b"], v["c"],
+                                       v["d"]),
+             {"k": _INT, "x": _CX, "a": _CX, "b": _CX, "c": _CX, "d": _CX}),
+    "ball-op": (lambda v: ball_op(v["k"], v["mu"], v["x"]),
+                {"k": _IVEC, "mu": _FLOAT, "x": _FVEC}),
+    "laguerre-cone": (
+        lambda v: laguerre_cone(v["k"], v["n"],
+                                LaguerreConeParams(v["beta"], v["mu"]),
+                                (v["t"], v["x"])),
+        {"k": _IVEC, "n": _INT, "beta": _FLOAT, "mu": _FLOAT, "t": _FLOAT,
+         "x": _FVEC}),
+    "jacobi-cone": (
+        lambda v: jacobi_cone(v["k"], v["n"],
+                              JacobiConeParams(v["beta"], v["mu"], v["gamma"]),
+                              (v["t"], v["x"])),
+        {"k": _IVEC, "n": _INT, "beta": _FLOAT, "mu": _FLOAT, "gamma": _FLOAT,
+         "t": _FLOAT, "x": _FVEC}),
+    "f-d": (lambda v: f_d(v["x"], v["k"], v["a"], _mu_for(v, "f-d")),
+            {"k": _IVEC, "a": _FLOAT, "mu": _OPTIONAL_MU, "x": _FVEC}),
+    "g-laguerre": (
+        lambda v: g_laguerre(v["t"], v["x"], v["k"], v["n"], _laguerre_tp(v)),
+        {"n": _INT, "k": _IVEC, **_LAGUERRE, "t": _FLOAT, "x": _FVEC}),
+    "g-jacobi": (
+        lambda v: g_jacobi(v["t"], v["x"], v["k"], v["n"], _jacobi_tp(v)),
+        {"n": _INT, "k": _IVEC, **_JACOBI, "t": _FLOAT, "x": _FVEC}),
+    "ft-f-closed": (
+        lambda v: ft_f_closed(v["k"], v["a"], _mu_for(v, "ft-f-closed"),
+                              v["xi"]),
+        {"k": _IVEC, "a": _FLOAT, "mu": _OPTIONAL_MU, "xi": _FVEC}),
+    "ft-g-laguerre-closed": (
+        lambda v: ft_g_laguerre_closed(v["k"], v["n"], _laguerre_tp(v),
+                                       v["xi"]),
+        {"n": _INT, "k": _IVEC, **_LAGUERRE, "xi": _FVEC}),
+    "ft-g-jacobi-closed": (
+        lambda v: ft_g_jacobi_closed(v["k"], v["n"], _jacobi_tp(v), v["xi"]),
+        {"n": _INT, "k": _IVEC, **_JACOBI, "xi": _FVEC}),
+    "a-family": (
+        lambda v: a_family(v["t"], v["x"], v["k"], v["n"],
+                           ParsevalParams(v["a1"], v["a2"], v["b1"], v["b2"]),
+                           form=v.get("form", "hyper")),
+        {"n": _INT, "k": _IVEC, "t": _CX, "x": _CXVEC, **_PARSEVAL,
+         "form": _FORM}),
+    "b-family": (
+        lambda v: b_family(v["t"], v["x"], v["k"], v["n"],
+                           ParsevalParams(v["a1"], v["a2"], v["b1"], v["b2"],
+                                          v["c1"], v["c2"]),
+                           form=v.get("form", "hyper")),
+        {"n": _INT, "k": _IVEC, "t": _CX, "x": _CXVEC, **_PARSEVAL,
+         "c1": _FLOAT, "c2": _FLOAT, "form": _FORM}),
 }
+
+# short aliases for the closed transforms
+_ALIASES = {"ft-f": "ft-f-closed", "ft-g-laguerre": "ft-g-laguerre-closed",
+            "ft-g-jacobi": "ft-g-jacobi-closed"}
+
+
+def _lookup(name: str):
+    """(canonical name, evaluator, spec) of a catalog function or alias."""
+    name = _ALIASES.get(name, name)
+    if name not in _CATALOG:
+        raise UsageError(
+            f"unknown function {name!r}; catalog: "
+            + ", ".join(sorted([*_CATALOG, *_ALIASES])))
+    return (name, *_CATALOG[name])
 
 
 # ----------------------------------------------------------------------
@@ -536,14 +481,18 @@ def config_to_json(cfg: RunConfig) -> str:
 # Commands
 # ----------------------------------------------------------------------
 
+def _write(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_eval(ns) -> int:
-    func = _EVAL_CATALOG.get(ns.name)
-    if func is None:
-        raise UsageError(
-            f"unknown function {ns.name!r}; catalog: "
-            + ", ".join(sorted(set(_EVAL_CATALOG))))
-    value = func(_parse_pairs(ns.args))
-    print(_fmt_value(value))
+    name, evaluate, spec = _lookup(ns.name)
+    print(_fmt_value(evaluate(_take(_parse_pairs(ns.args), spec, name))))
     return 0
 
 
@@ -595,12 +544,7 @@ def _cmd_suite(ns) -> int:
     result = run_suite(selection, grids=cfg.grids, cfg=cfg.quadrature,
                        seed=cfg.seed, record_timing=ns.record_timing)
     text = _suite_csv(result) if cfg.format == "csv" else _suite_json(result)
-    out = ns.out or cfg.out
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, ns.out or cfg.out)
     summary = result.summary
     failures = summary["total"] - summary["passed"]
     print(f"total {summary['total']}, passed {summary['passed']}, "
@@ -626,48 +570,67 @@ def _parse_axis(text: str):
 
 
 def _cmd_table(ns) -> int:
-    func = _EVAL_CATALOG.get(ns.name)
-    if func is None:
-        raise UsageError(
-            f"unknown function {ns.name!r}; catalog: "
-            + ", ".join(sorted(set(_EVAL_CATALOG))))
+    """Tabulate a catalog function over one or two swept axes, one CSV
+    row per point, in lexicographic order of the axes as given.
+
+    The arguments are converted and validated once, each axis at its
+    first value.  Swept point keys (x, t, xi) reach the function as
+    broadcast arrays, two of them meshed with indexing="ij", so the
+    function is called once per combination of the swept parameter
+    values; a domain error anywhere in the sweep prints no rows."""
+    name, evaluate, spec = _lookup(ns.name)
     # an axis spec may stand for one component of a comma list; that
     # axis is named key[i], with i counted from 0
-    fixed, swept, axes = {}, {}, []
+    texts, axes = {}, []  # axes: (header name, key, component, values)
     for key, text in _parse_pairs(ns.args).items():
         parts = text.split(",")
-        specs = [_parse_axis(part) for part in parts]
-        for i, spec in enumerate(specs):
-            if spec is not None:
-                lo, hi, count = spec
+        for i, part in enumerate(parts):
+            bounds = _parse_axis(part)
+            if bounds is not None:
+                lo, hi, count = bounds
                 values = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
-                axes.append((key if len(parts) == 1 else f"{key}[{i}]",
-                             key, i, values))
-        if any(specs):
-            swept[key] = parts
-        else:
-            fixed[key] = text
+                axes.append((key if len(parts) == 1 else f"{key}[{i}]", key, i,
+                             values))
+                parts[i] = repr(float(values[0]))
+        texts[key] = parts
     if not 1 <= len(axes) <= 2:
         raise UsageError(f"table sweeps one or two axes, got {len(axes)}")
-    lines = [",".join([name for name, *_ in axes] + ["re", "im"])]
-    for coords in itertools.product(*[values for *_, values in axes]):
-        texts = {key: list(parts) for key, parts in swept.items()}
-        for (_, key, i, _), v in zip(axes, coords):
+    vals = _take({key: ",".join(parts) for key, parts in texts.items()},
+                 spec, name)
+
+    # evaluate with the parameter axes first, then the point axes
+    order = sorted(range(len(axes)), key=lambda a: axes[a][1] in _POINT_KEYS)
+    params = [axes[a] for a in order if axes[a][1] not in _POINT_KEYS]
+    points = [axes[a] for a in order if axes[a][1] in _POINT_KEYS]
+    grids = np.meshgrid(*[values for *_, values in points], indexing="ij")
+    for (_, key, i, _), grid in zip(points, grids):
+        v = vals[key]  # the type of a component comes from its converter
+        if isinstance(v, tuple):
+            vals[key] = v[:i] + (grid.astype(type(v[i])),) + v[i + 1:]
+        elif i == 0:  # a scalar key's converter ignores components past 0
+            vals[key] = grid.astype(type(v))
+    shape = tuple(len(values) for *_, values in points)
+    blocks = []
+    for combo in itertools.product(*[values for *_, values in params]):
+        for (_, key, i, _), v in zip(params, combo):
             texts[key][i] = repr(float(v))
-        value = complex(func({**fixed, **{key: ",".join(parts)
-                                          for key, parts in texts.items()}}))
+            vals[key] = spec[key][0](",".join(texts[key]))
+        blocks.append(np.broadcast_to(evaluate(vals), shape))
+    shape = [len(values) for *_, values in params] + list(shape)
+    table = np.reshape(blocks, shape).transpose(np.argsort(order))
+
+    lines = [",".join([header for header, *_ in axes] + ["re", "im"])]
+    for coords, value in zip(itertools.product(*[values for *_, values in axes]),
+                             table.ravel()):
+        value = complex(value)
         cells = [f"{c:.16e}" for c in coords]
         lines.append(",".join(cells + [f"{value.real:.16e}",
                                        f"{value.imag:.16e}"]))
-    text = "\n".join(lines) + "\n"
-    if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", ns.out)
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="conefourier",

@@ -127,6 +127,19 @@ def _gamma_right(z: np.ndarray) -> np.ndarray:
     return _SQRT_TWO_PI * np.exp((x + 0.5) * np.log(t) - t) * _lanczos_sum(x)
 
 
+def _gamma_left(w: np.ndarray) -> np.ndarray:
+    # Re w < 1/2: Gamma(w) = pi / (sin(pi w) Gamma(1 - w)), w = u + iv, with
+    # sin(pi w) = e^(pi |v|) s / 2 for a bounded s.  e^(pi |v|) joins the
+    # exponential of Gamma(1 - w), so nothing overflows where Gamma(w) is finite.
+    u, av = w.real, np.abs(w.imag)
+    s = np.sin(np.pi * u) * (1.0 + np.exp(-2.0 * np.pi * av)) \
+        - 1j * np.sign(w.imag) * np.cos(np.pi * u) * np.expm1(-2.0 * np.pi * av)
+    x = -w  # (1 - w) - 1
+    t = x + _LANCZOS_G + 0.5
+    return _SQRT_TWO_PI * np.exp(t - (x + 0.5) * np.log(t) - np.pi * av) \
+        / (s * _lanczos_sum(x))
+
+
 def gamma_cx(z):
     """Gamma function for complex scalars or arrays.
 
@@ -145,8 +158,7 @@ def gamma_cx(z):
         out = np.empty_like(zc)
         if right.any():
             out[right] = _gamma_right(zc[right])
-        w = zc[~right]
-        out[~right] = np.pi / (np.sin(np.pi * w) * _gamma_right(1.0 - w))
+        out[~right] = _gamma_left(zc[~right])
     return complex(out[0]) if scalar else out.reshape(np.shape(np.asarray(z)))
 
 
@@ -179,15 +191,12 @@ def log_gamma_cx(z):
 
 
 def beta_cx(a, b):
-    """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), in log space."""
+    """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), in log space.
+    Raises PoleError when a, b or a + b is a pole of Gamma."""
     ac = np.asarray(a, dtype=np.complex128)
     bc = np.asarray(b, dtype=np.complex128)
     scalar = ac.ndim == 0 and bc.ndim == 0
-    ab = ac + bc
-    _check_gamma_poles(np.atleast_1d(ac), what="beta")
-    _check_gamma_poles(np.atleast_1d(bc), what="beta")
-    _check_gamma_poles(np.atleast_1d(ab), what="beta (a+b)")
-    val = np.exp(log_gamma_cx(ac) + log_gamma_cx(bc) - log_gamma_cx(ab))
+    val = np.exp(log_gamma_cx(ac) + log_gamma_cx(bc) - log_gamma_cx(ac + bc))
     return complex(val) if scalar else val
 
 

@@ -97,11 +97,25 @@ class FreqVector:
         return hash(self.components)
 
 
-def _as_freq(xi, expected: int) -> FreqVector:
-    fv = xi if isinstance(xi, FreqVector) else FreqVector(xi)
-    if fv.d != expected:
-        raise DomainError(f"frequency vector has {fv.d} components, expected {expected}")
-    return fv
+def _as_freq(xi, expected: int) -> tuple:
+    """The components of xi: floats, checked by FreqVector, when every
+    component is a scalar; else float arrays that broadcast together."""
+    if isinstance(xi, FreqVector) or np.isscalar(xi) \
+            or all(np.ndim(v) == 0 for v in xi):
+        comps = FreqVector(xi).components
+    else:
+        comps = tuple(np.asarray(v, dtype=np.float64) for v in xi)
+        if not all(np.isfinite(c).all() for c in comps):
+            raise DomainError("frequency components must be finite")
+    if len(comps) != expected:
+        raise DomainError(
+            f"frequency vector has {len(comps)} components, expected {expected}")
+    return comps
+
+
+def _cx_or_array(value):
+    """A value computed over broadcast arrays, or a complex for scalar input."""
+    return value if np.ndim(value) else complex(value)
 
 
 def _positive_real(value, name: str) -> float:
@@ -438,7 +452,7 @@ def xi_factor(n: int, k, b, c, mu, beta, gamma, xi) -> Cx:
         1.0)
 
 
-def _ball_transform_core(k: MultiIndex, a, mu, xi: FreqVector,
+def _ball_transform_core(k: MultiIndex, a, mu, xi: tuple,
                          theta=theta_hyper) -> Cx:
     d = k.d
     for j in range(1, d + 1):
@@ -459,15 +473,20 @@ def _ball_transform_core(k: MultiIndex, a, mu, xi: FreqVector,
 
 def ft_f_closed(k, a, mu, xi) -> Cx:
     """Closed-form Fourier transform of f_d: a power of 2 times the
-    product over axes of Pochhammer-weighted Beta-3F2 factors."""
+    product over axes of Pochhammer-weighted Beta-3F2 factors.
+
+    xi is a FreqVector or a sequence of d components; the components may
+    be real scalars or float arrays that broadcast together, as x in f_d.
+    Array components give an array of values, scalar ones a complex."""
     k = _as_multiindex(k)
     fv = _as_freq(xi, k.d)
-    return complex(_ball_transform_core(k, a, mu, fv))
+    return _cx_or_array(_ball_transform_core(k, a, mu, fv))
 
 
 def ft_g_laguerre_closed(k, n: int, params: TransformParamsLaguerre, xi) -> Cx:
     """Closed-form Fourier transform of g_laguerre: ball factors times
-    2^(b+|k|-i xi_t) Gamma(b+|k|-i xi_t) and the argument-2 2F1."""
+    2^(b+|k|-i xi_t) Gamma(b+|k|-i xi_t) and the argument-2 2F1.  xi has
+    d + 1 components, scalars or float arrays as in ft_f_closed."""
     k = _as_multiindex(k)
     _check_k_n(k, n)
     d = k.d
@@ -480,13 +499,14 @@ def ft_g_laguerre_closed(k, n: int, params: TransformParamsLaguerre, xi) -> Cx:
     zpow = np.exp((b + k.total - 1j * xit) * _LOG2)
     m = int(n) - k.total
     pref = pochhammer(2 * k.total + 2.0 * mu + beta + d, m) / math.factorial(m)
-    return complex(zpow * pref * gamma_cx(b + k.total - 1j * xit)
-                   * ball * lambda_factor(n, k, b, mu, beta, xit))
+    return _cx_or_array(zpow * pref * gamma_cx(b + k.total - 1j * xit)
+                        * ball * lambda_factor(n, k, b, mu, beta, xit))
 
 
 def ft_g_jacobi_closed(k, n: int, params: TransformParamsJacobi, xi) -> Cx:
     """Closed-form Fourier transform of g_jacobi: ball factors times the
-    Gamma(b+|k|-i xi_t/2) Gamma(c+i xi_t/2) pair and the terminating 3F2."""
+    Gamma(b+|k|-i xi_t/2) Gamma(c+i xi_t/2) pair and the terminating 3F2.
+    xi has d + 1 components, scalars or float arrays as in ft_f_closed."""
     k = _as_multiindex(k)
     _check_k_n(k, n)
     d = k.d
@@ -502,8 +522,8 @@ def ft_g_jacobi_closed(k, n: int, params: TransformParamsJacobi, xi) -> Cx:
     pref = pochhammer(2 * k.total + 2.0 * mu + beta + d, m) / math.factorial(m)
     gammas = gamma_cx(b + k.total - 0.5j * xit) * gamma_cx(c + 0.5j * xit) \
         / gamma_cx(k.total + b + c)
-    return complex(zpow * pref * gammas * ball
-                   * xi_factor(n, k, b, c, mu, beta, gamma, xit))
+    return _cx_or_array(zpow * pref * gammas * ball
+                        * xi_factor(n, k, b, c, mu, beta, gamma, xit))
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +580,7 @@ def _family_value(factors, t, x):
     value = t_factor(t)
     for factor, xj in zip(axis_factors, _coords(x, len(axis_factors))):
         value = value * factor(xj)
-    return value if np.ndim(value) else complex(value)
+    return _cx_or_array(value)
 
 
 def a_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
@@ -651,13 +671,16 @@ def _axis_norm_log(k: MultiIndex, pp: ParsevalParams) -> float:
 
 def a_norm_rhs(n: int, k, pp: ParsevalParams) -> float:
     """Diagonal value of the first family's orthogonality integral,
-    assembled in log space."""
+    assembled in log space.  Its power of 2 is d + 1 - (d-1)(d-2)/2: the
+    axis factors are the ball transform's theta factors times
+    Gamma(2 base_j), and that transform obeys Parseval exactly."""
     k = _as_multiindex(k)
     _check_k_n(k, n)
     d = k.d
     m = int(n) - k.total
     log = (d + 1) * math.log(2.0 * math.pi)
-    log += (-2.0 * d * pp.abs_a - 2.0 * k.total - pp.abs_b + d + 1) * _LOG2
+    log += (-2.0 * d * pp.abs_a - 2.0 * k.total - pp.abs_b + d + 1
+            - (d - 1) * (d - 2) // 2) * _LOG2
     log += math.log(ball_norm(k, pp.mu))
     log += math.lgamma(pp.abs_b + n + k.total) + math.lgamma(m + 1)
     _, lp = _signed_log_pochhammer(2 * k.total + pp.abs_b, m)
@@ -668,7 +691,8 @@ def a_norm_rhs(n: int, k, pp: ParsevalParams) -> float:
 
 def b_norm_rhs(n: int, k, pp: ParsevalParams) -> float:
     """Diagonal value of the second family's orthogonality integral,
-    assembled in log space."""
+    assembled in log space; its power of 2 is d + 2 - (d-1)(d-2)/2, for
+    the reason given in a_norm_rhs."""
     k = _as_multiindex(k)
     _check_k_n(k, n)
     if not pp.has_c:
@@ -676,7 +700,7 @@ def b_norm_rhs(n: int, k, pp: ParsevalParams) -> float:
     d = k.d
     m = int(n) - k.total
     log = (d + 1) * math.log(2.0 * math.pi)
-    log += (-2.0 * d * pp.abs_a + d + 2) * _LOG2
+    log += (-2.0 * d * pp.abs_a + d + 2 - (d - 1) * (d - 2) // 2) * _LOG2
     log += math.log(ball_norm(k, pp.mu))
     log += math.lgamma(m + 1)
     log += math.lgamma(n + k.total + pp.abs_b) + math.lgamma(n - k.total + pp.abs_c)

@@ -292,9 +292,19 @@ _D1_STATES = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
 
 
 def _d2_spots(base):
-    # d = 3 is left out: there the factored integral comes out at exactly
-    # half of a_norm_rhs / b_norm_rhs, and which side is off is not settled
     return [dict(base, n=1, k=(1, 0), m=1, l=l) for l in ((1, 0), (0, 1))]
+
+
+def _d3_d4_spots(base):
+    # the norms' power of 2 drops by (d-1)(d-2)/2: 1 at d = 3 and 3 at
+    # d = 4, where a wrong shift such as d - 2 would still be off by 2
+    pairs = [((1, (0, 0, 1)), (1, (0, 0, 1))),
+             ((1, (1, 0, 0)), (1, (1, 0, 0))),
+             ((2, (1, 0, 1)), (2, (1, 0, 1))),
+             ((1, (1, 0, 0)), (1, (0, 1, 0))),
+             ((1, (0, 0, 1)), (2, (0, 0, 1))),
+             ((2, (1, 0, 0, 1)), (2, (1, 0, 0, 1)))]
+    return [dict(base, n=n, k=k, m=m, l=l) for (n, k), (m, l) in pairs]
 
 
 def test_09_parseval_a_family():
@@ -302,14 +312,14 @@ def test_09_parseval_a_family():
     base = {"a1": 0.8, "a2": 0.6, "b1": 0.9, "b2": 0.7}
     rows = _parseval_rows(base, _D1_STATES)
     assert len(rows) == 21
-    rows += _d2_spots(base)
+    rows += _d2_spots(base) + _d3_d4_spots(base)
     result = run_suite(["parseval-a"], grids={"parseval-a": rows})
     worst = _assert_all_pass(result, "parseval-a")
     took = time.time() - start
     assert took < 60.0
-    print(f"PASS A-family Parseval: 21 d=1 pairs + d=2 diagonal and "
-          f"off-diagonal spots (rel tol 1e-5), worst rel {worst:.2e}, "
-          f"{took:.1f}s")
+    print(f"PASS A-family Parseval: 21 d=1 pairs + d=2 and d=3 diagonal "
+          f"and off-diagonal spots + a d=4 diagonal (rel tol 1e-5), worst "
+          f"rel {worst:.2e}, {took:.1f}s")
 
 
 def test_10_parseval_b_family():
@@ -317,14 +327,14 @@ def test_10_parseval_b_family():
     base = {"a1": 0.8, "a2": 0.6, "b1": 0.9, "b2": 0.7, "c1": 1.1,
             "c2": 0.5}
     rows = _parseval_rows(base, _D1_STATES)
-    rows += _d2_spots(base)
+    rows += _d2_spots(base) + _d3_d4_spots(base)
     result = run_suite(["parseval-b"], grids={"parseval-b": rows})
     worst = _assert_all_pass(result, "parseval-b")
     took = time.time() - start
     assert took < 60.0
-    print(f"PASS B-family Parseval: 21 d=1 pairs + d=2 diagonal and "
-          f"off-diagonal spots (rel tol 1e-5), worst rel {worst:.2e}, "
-          f"{took:.1f}s")
+    print(f"PASS B-family Parseval: 21 d=1 pairs + d=2 and d=3 diagonal "
+          f"and off-diagonal spots + a d=4 diagonal (rel tol 1e-5), worst "
+          f"rel {worst:.2e}, {took:.1f}s")
 
 
 def test_11_kernel_sweeps():

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from conefourier import ball_op, cli, gegenbauer
 from conefourier.cli import main
 
 
@@ -234,6 +236,161 @@ def test_table_sweeps_one_vector_component(capsys):
         assert code == 0
         want = _parse_eval(text)
         assert abs(complex(re, im) - want) <= 1e-15 * abs(want)
+
+
+# Scalar arguments of every catalog entry, at points inside its domain.
+_ENTRY_ARGS = {
+    "gegenbauer": {"n": "3", "mu": "0.7", "x": "0.3"},
+    "laguerre": {"n": "3", "alpha": "0.5", "t": "1.5"},
+    "jacobi": {"n": "3", "alpha": "0.5", "beta": "1.5", "t": "0.2"},
+    "hahn": {"k": "3", "x": "0.4", "a": "0.7", "b": "1.1", "c": "0.7",
+             "d": "1.1"},
+    "ball-op": {"k": "1,2", "mu": "0.6", "x": "0.2,0.3"},
+    "laguerre-cone": {"k": "1,1", "n": "3", "beta": "0.5", "mu": "0.7",
+                      "t": "1.5", "x": "0.1,0.2"},
+    "jacobi-cone": {"k": "1,0", "n": "2", "beta": "0.5", "mu": "0.7",
+                    "gamma": "0.3", "t": "0.8", "x": "0.1,0.05"},
+    "f-d": {"k": "1,2", "a": "0.8", "mu": "0.6", "x": "0.4,-0.3"},
+    "g-laguerre": {"n": "2", "k": "1", "a": "0.7", "b": "1.2", "beta": "0.5",
+                   "mu": "0.9", "t": "0.4", "x": "0.3"},
+    "g-jacobi": {"n": "2", "k": "1,0", "a": "0.7", "b": "1.2", "c": "0.9",
+                 "beta": "0.5", "mu": "0.9", "gamma": "0.4", "t": "0.3",
+                 "x": "0.4,0.1"},
+    "ft-f-closed": {"k": "1,2", "a": "0.8", "mu": "0.6", "xi": "0.5,-1.5"},
+    "ft-g-laguerre-closed": {"n": "3", "k": "1,1", "a": "0.7", "b": "1.2",
+                             "beta": "0.5", "mu": "0.9",
+                             "xi": "0.5,0.4,-1.0"},
+    "ft-g-jacobi-closed": {"n": "2", "k": "1", "a": "0.7", "b": "1.2",
+                           "c": "0.9", "beta": "0.5", "mu": "0.9",
+                           "gamma": "0.4", "xi": "0.3,0.6"},
+    "a-family": {"n": "3", "k": "1,1", "t": "0.3", "x": "0.7,-0.2",
+                 "a1": "0.8", "a2": "0.6", "b1": "0.9", "b2": "0.7"},
+    "b-family": {"n": "2", "k": "1", "t": "0.3", "x": "0.7", "a1": "0.8",
+                 "a2": "0.6", "b1": "0.9", "b2": "0.7", "c1": "1.1",
+                 "c2": "0.5", "form": "hahn"},
+}
+
+_SWEEP_CASES = [(name, key, i)
+                for name, (_, spec) in cli._CATALOG.items()
+                for key in cli._POINT_KEYS if key in spec
+                for i in range(len(_ENTRY_ARGS[name][key].split(",")))]
+
+
+def _eval_value(name, args):
+    # exactly what eval computes, before it rounds for printing
+    name, evaluate, spec = cli._lookup(name)
+    return complex(evaluate(cli._take(args, spec, name)))
+
+
+# Array and scalar arithmetic round differently in the last bit, and a
+# series that cancels (the imaginary part of a real Hahn polynomial, a
+# Beta-3F2 sum) lifts that to a few eps of the sweep's largest value.
+_SWEEP_TOL = 1e-14
+
+
+def test_sweep_cases_cover_the_catalog():
+    assert set(_ENTRY_ARGS) == set(cli._CATALOG)
+    assert {name for name, _, _ in _SWEEP_CASES} == set(cli._CATALOG)
+
+
+@pytest.mark.parametrize("name,key,i", _SWEEP_CASES,
+                         ids=[f"{n}-{k}{i}" for n, k, i in _SWEEP_CASES])
+def test_table_point_sweep_matches_eval(capsys, name, key, i):
+    args = dict(_ENTRY_ARGS[name])
+    parts = args[key].split(",")
+    lo, hi = (0.5, 1.5) if key == "t" else (-0.5, 0.5)
+    parts[i] = f"{lo}:{hi}:7"
+    args[key] = ",".join(parts)
+    code, out, _ = run_cli(capsys, "table", name,
+                           *[f"{k}={v}" for k, v in args.items()])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == f"{key if len(parts) == 1 else f'{key}[{i}]'},re,im"
+    assert len(lines) == 8
+    got, want = [], []
+    for row in lines[1:]:
+        c, re, im = (float(v) for v in row.split(","))
+        parts[i] = repr(c)
+        got.append(complex(re, im))
+        want.append(_eval_value(name, {**args, key: ",".join(parts)}))
+    scale = max(abs(w) for w in want)
+    assert scale > 0.0
+    assert max(abs(g - w) for g, w in zip(got, want)) <= _SWEEP_TOL * scale
+
+
+@pytest.mark.parametrize("first", ["param", "point"])
+def test_table_rows_lexicographic_in_axis_order(capsys, first):
+    fixed = ["k=1,2", "mu=0.6"]
+    axes = ["a=0.6:1.0:3", "xi=0.5,-2:2:5"]
+    if first == "point":
+        axes.reverse()
+    code, out, _ = run_cli(capsys, "table", "ft-f", *axes, *fixed)
+    assert code == 0
+    lines = out.strip().splitlines()
+    names = [ax.split("=")[0] for ax in axes]
+    assert lines[0] == ",".join([n if n == "a" else "xi[1]" for n in names]
+                                + ["re", "im"])
+    assert len(lines) == 16
+    coords = [tuple(float(v) for v in row.split(",")[:2]) for row in lines[1:]]
+    assert coords == sorted(coords)
+    got, want = [], []
+    for row, c in zip(lines[1:], coords):
+        at = dict(zip(names, c))
+        re, im = (float(v) for v in row.split(",")[2:])
+        got.append(complex(re, im))
+        want.append(_eval_value("ft-f", {"k": "1,2", "mu": "0.6",
+                                         "a": repr(at["a"]),
+                                         "xi": f"0.5,{at['xi']!r}"}))
+    scale = max(abs(w) for w in want)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= _SWEEP_TOL * scale
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball-op", "k=1,2", "mu=0.6", "x=-1.2:1.2:7,0.2"],
+    ["laguerre-cone", "k=1,1", "n=3", "beta=0.5", "mu=0.7", "t=-1:3:5",
+     "x=0.1,0.2"],
+], ids=["ball-op", "laguerre-cone"])
+def test_table_sweep_leaving_domain_exits_3_without_rows(capsys, argv):
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 3
+    assert out == ""
+    assert "domain error" in err
+
+
+@pytest.mark.parametrize("argv,calls,rows", [
+    (["gegenbauer", "n=2", "mu=1", "x=-1:1:201"], 1, 201),
+    (["gegenbauer", "n=2", "mu=0.5:1.5:3", "x=-1:1:201"], 3, 603),
+    (["gegenbauer", "x=0.25", "n=2", "mu=0.5:1.5:4"], 4, 4),
+])
+def test_table_calls_evaluator_once_per_parameter_value(capsys, monkeypatch,
+                                                        argv, calls, rows):
+    seen = []
+
+    def counting(n, mu, x):
+        seen.append(np.shape(x))
+        return gegenbauer(n, mu, x)
+
+    monkeypatch.setattr(cli, "gegenbauer", counting)
+    code, out, _ = run_cli(capsys, "table", *argv)
+    assert code == 0
+    assert len(seen) == calls
+    assert len(out.strip().splitlines()) == 1 + rows
+
+
+def test_table_two_point_axes_one_call(capsys, monkeypatch):
+    seen = []
+
+    def counting(k, mu, p):
+        seen.append(tuple(np.shape(c) for c in p))
+        return ball_op(k, mu, p)
+
+    monkeypatch.setattr(cli, "ball_op", counting)
+    code, out, _ = run_cli(capsys, "table", "ball-op", "k=1,2", "mu=0.6",
+                           "x=-0.5:0.5:5,-0.5:0.5:4")
+    assert code == 0
+    assert seen == [((5, 4), (5, 4))]
+    assert out.splitlines()[0] == "x[0],x[1],re,im"
+    assert len(out.strip().splitlines()) == 21
 
 
 # --------------------------------------------------------------- config

@@ -123,6 +123,19 @@ def test_gamma_underflow_is_exact_zero_without_warning():
     assert got[3] == gamma_cx(0.8 + 1j)
 
 
+@pytest.mark.parametrize("z", [-0.5 + 230j, 0.3 + 300j, 0.3 - 300j])
+def test_gamma_reflection_far_off_axis_vs_mpmath(z):
+    # sin(pi z) overflows past |Im z| ~ 226 while Gamma(1 - z) underflows;
+    # the reflection must still give the finite value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gamma_cx(z)
+        arr = gamma_cx(np.array([z, 2.0 + 1j]))
+    want = complex(mpmath.gamma(z))
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert arr[0] == got
+
+
 # ------------------------------------------------------------ log_gamma
 
 def test_log_gamma_values():
@@ -166,6 +179,14 @@ def test_beta_complex_pair_vs_quadrature():
     a, b = 1 + 1j, 1 - 1j
     oracle = mpmath.quad(lambda x: x ** (a - 1) * (1 - x) ** (b - 1), [0, 1])
     assert beta_cx(a, b) == pytest.approx(complex(oracle), rel=1e-12)
+
+
+@pytest.mark.parametrize("a,b", [(-1.0, 2.5), (2.5, -3.0), (1.5, -1.5),
+                                 (np.array([0.5, 1.5]), np.array([0.5, -2.0]))])
+def test_beta_pole_raises(a, b):
+    # at a, at b, and at a + b (Gamma(a + b) in the denominator)
+    with pytest.raises(PoleError):
+        beta_cx(a, b)
 
 
 @given(st.complex_numbers(min_magnitude=0.2, max_magnitude=5.0,

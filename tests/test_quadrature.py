@@ -266,8 +266,11 @@ def test_parseval_classical_pair():
     res = parseval_lhs([(F, F)])
     # Parseval for sech: (2 pi) * int sech^2 = 4 pi
     assert res.value == pytest.approx(4.0 * math.pi, rel=1e-10)
+    # any number of factors multiplies (a d = 4 family has five)
+    res5 = parseval_lhs([(F, F)] * 5)
+    assert res5.value == pytest.approx((4.0 * math.pi) ** 5, rel=1e-9)
     with pytest.raises(DomainError):
-        parseval_lhs([(F, F)] * 5)
+        parseval_lhs([])
 
 
 def test_parseval_vanishing_factor_error_covers_zero():

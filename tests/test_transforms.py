@@ -181,6 +181,35 @@ def test_xi_factor_values():
 
 # -------------------------------------------------------------- ft_f_closed
 
+def test_closed_transforms_take_array_frequencies():
+    # a component may be a float array, all broadcasting together: the
+    # array call equals the scalar calls, which still return a complex
+    k = (1, 2)
+    lag = TransformParamsLaguerre(0.7, 1.2, 0.5, 0.9)
+    jac = TransformParamsJacobi(0.7, 1.2, 0.9, 0.5, 0.9, 0.4)
+    s1 = np.linspace(-4.0, 4.0, 9)[:, None]
+    s2 = np.linspace(-3.0, 3.0, 5)[None, :]
+    calls = [
+        (lambda xi: ft_f_closed(k, 0.8, 0.6, xi), (s1, s2)),
+        (lambda xi: ft_g_laguerre_closed(k, 4, lag, xi), (s1, 0.4, s2)),
+        (lambda xi: ft_g_jacobi_closed(k, 4, jac, xi), (0.3, s1, s2)),
+    ]
+    for fn, xi in calls:
+        got = fn(xi)
+        assert got.shape == (9, 5)
+        for i, j in np.ndindex(9, 5):
+            point = tuple(float(np.broadcast_to(c, (9, 5))[i, j]) for c in xi)
+            want = fn(FreqVector(point))
+            assert type(want) is complex
+            assert fn(point) == want
+            assert abs(got[i, j] - want) <= 1e-14 * abs(want)
+    with pytest.raises(DomainError):
+        ft_f_closed(k, 0.8, 0.6, (s1, np.full(5, np.inf)))
+    with pytest.raises(DomainError):
+        ft_f_closed(k, 0.8, 0.6, (s1,))
+    assert hash(FreqVector((0.5, 1.0))) == hash(FreqVector((0.5, 1.0)))
+
+
 def test_ft_f_sech_line():
     assert abs(ft_f_closed((0,), 0.5, 1.0, FreqVector((0.0,))) - math.pi) < 1e-14
     for xi in (-2.0, -0.5, 0.3, 1.0, 4.0):
