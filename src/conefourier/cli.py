@@ -225,7 +225,7 @@ def _take(args: dict, spec: dict, name: str) -> dict:
     if raw:
         raise UsageError(f"unknown argument {sorted(raw)[0]!r} for {name}")
     if d is not None:
-        dd = _ints(_value_of(d), "d")[0]
+        dd = _c_int(d)
         for key in ("k", "x", "xi"):
             if key in vals and isinstance(vals[key], tuple):
                 want = dd + 1 if key == "xi" and "b" in spec else dd
@@ -236,19 +236,23 @@ def _take(args: dict, spec: dict, name: str) -> dict:
     return vals
 
 
+def _scalar(text):
+    v = _value_of(text)
+    if isinstance(v, tuple):
+        raise UsageError(f"expected a scalar, got {text!r}")
+    return v
+
+
 def _c_int(text):
-    return _ints(_value_of(text), "argument")[0]
+    return _ints(_scalar(text), "argument")[0]
 
 
 def _c_float(text):
-    return _reals(_value_of(text), "argument")[0]
+    return _reals(_scalar(text), "argument")[0]
 
 
 def _c_cx(text):
-    v = _value_of(text)
-    if isinstance(v, tuple):
-        raise UsageError("expected a scalar")
-    return complex(v)
+    return complex(_scalar(text))
 
 
 def _c_ituple(text):
@@ -607,7 +611,7 @@ def _cmd_table(ns) -> int:
         v = vals[key]  # the type of a component comes from its converter
         if isinstance(v, tuple):
             vals[key] = v[:i] + (grid.astype(type(v[i])),) + v[i + 1:]
-        elif i == 0:  # a scalar key's converter ignores components past 0
+        else:
             vals[key] = grid.astype(type(v))
     shape = tuple(len(values) for *_, values in points)
     blocks = []

@@ -1,8 +1,8 @@
 """Independent numerical oracle: tanh-sinh double-exponential quadrature
 with level doubling, adaptive Gauss-Kronrod as a cross-check, tensor
 iterated integration, numerical Fourier transforms, and the Parseval
-frequency integral of separable functions as a product of truncated 1-d
-integrals.
+frequency integral of separable functions as a product of whole-line
+1-d integrals.
 
 Nothing in this module calls the closed-form transforms; every operation
 consumes a raw integrand callable.  Integrands must be vectorized: they
@@ -224,16 +224,22 @@ def _de_integrate(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResul
         h = 2.0 ** (-level)
         value = h * partial
         sums.append(value)
-        if level >= 2:
+        if level >= 3:
             e1 = abs(sums[-1] - sums[-2])
-            e2 = abs(sums[-1] - sums[-3])
-            # min(e1, e1^2/e2) as e1 * (e1 / max(e1, e2)): exactly e1
-            # where e2 <= e1, e2 = 0 included; (e1 == 0) keeps 0/0 out
-            extrap = e1 * (e1 / (np.fmax(e1, e2) + (e1 == 0.0)))
+            if level == 3:
+                # the first acceptance level does not extrapolate: a
+                # ladder that has not reached the quadratic regime yet
+                # would make e1^2/e2 fall below the true error
+                extrap = e1
+            else:
+                e2 = abs(sums[-1] - sums[-3])
+                # min(e1, e1^2/e2) as e1 * (e1 / max(e1, e2)): exactly e1
+                # where e2 <= e1, e2 = 0 included; (e1 == 0) keeps 0/0 out
+                extrap = e1 * (e1 / (np.fmax(e1, e2) + (e1 == 0.0)))
             # roundoff floor: summation noise makes estimates below
             # ~4 eps |value| meaningless
             err = extrap + tail + 4.0 * 2.2e-16 * abs(value)
-            if level >= 3 and _within(err, value, cfg):
+            if _within(err, value, cfg):
                 return IntegralResult(value, err, evals, True)
     # a NaN sample at the outermost nodes makes the estimate infinite
     return IntegralResult(value, np.fmin(err, math.inf), evals, False)
@@ -273,11 +279,11 @@ def _gk_eval(f, a: float, b: float):
 
 
 def _gk_truncate(a: float, b: float, radius: float):
-    if not math.isfinite(a):
-        a = (b if math.isfinite(b) else 0.0) - radius
-    if not math.isfinite(b):
-        b = a + radius if math.isfinite(a) else radius
-    return a, b
+    """Infinite ends move `radius` past the finite end, or to -radius and
+    radius when both are infinite."""
+    lo = a if math.isfinite(a) else (b if math.isfinite(b) else 0.0) - radius
+    hi = b if math.isfinite(b) else (a if math.isfinite(a) else 0.0) + radius
+    return lo, hi
 
 
 def _gk_integrate(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -517,33 +523,16 @@ def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
         primary.converged and check.converged and not disagree)
 
 
-def _parseval_box(integrand, abs_tol: float) -> tuple[float, bool]:
-    """Half-width of the truncated frequency interval for one factor:
-    grown from 40 in steps of 8 until |integrand| at both faces, the
-    constant of the analytic C e^{-pi R / 4} Gamma-decay envelope, sits
-    below abs_tol / 10.  Returns (R, tail_ok); tail_ok is False when the
-    cap of 80 is reached first."""
-    R = 40.0
-    while True:
-        faces = np.abs(np.asarray(integrand(np.array([-R, R])),
-                                  dtype=np.complex128))
-        if faces.max() < abs_tol / 10.0:
-            return R, True
-        if R >= 80.0:
-            return R, False
-        R = min(R + 8.0, 80.0)
-
-
 def parseval_lhs(pairs, cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Raw frequency-space inner product of separable functions,
 
         int F(xi) conj(G(xi)) dxi = prod_j int F_j(s) conj(G_j(s)) ds,
 
     given as the 1-d factor pairs [(F_0, G_0), ..., (F_{n-1}, G_{n-1})],
-    n >= 1 (Fubini).  Each factor is integrated on its own truncated
-    interval (-R, R) chosen by a face probe; a factor whose tail is still
-    above abs_tol / 10 at the half-width cap of 80 emits a tail-bound
-    warning and clears the converged flag on the returned result.
+    n >= 1 (Fubini).  Each factor is integrated over the whole line by
+    the sinh-sinh double-exponential rule; its callables must therefore
+    return finite values (exact zeros where they underflow) at nodes out
+    to |s| ~ 1e299.
 
     The error estimate bounds the product, prod(|v_j| + e_j) - prod |v_j|,
     which stays honest when one factor vanishes.  Raises
@@ -558,31 +547,19 @@ def parseval_lhs(pairs, cfg: QuadratureConfig | None = None) -> IntegralResult:
     value, bound, magnitude = 1.0 + 0.0j, 1.0, 1.0
     evals = 0
     bad = None
-    unverified = []
     for axis, (F, G) in enumerate(pairs):
         def integrand(s, F=F, G=G):
             return F(s) * np.conj(G(s))
 
-        R, tail_ok = _parseval_box(integrand, cfg.abs_tol)
-        res = _integrate_1d_result(integrand, (-R, R), cfg)
+        res = _integrate_1d_result(integrand, (-math.inf, math.inf), cfg)
         value *= res.value
         bound *= abs(res.value) + res.error_estimate
         magnitude *= abs(res.value)
         evals += res.evaluations
         if not res.converged and bad is None:
             bad = axis
-        if not tail_ok:
-            unverified.append(axis)
-    result = IntegralResult(value, bound - magnitude, evals,
-                            bad is None and not unverified)
+    result = IntegralResult(value, bound - magnitude, evals, bad is None)
     if bad is not None:
         raise NonConvergenceError(
             f"parseval factor {bad} did not converge", result)
-    if unverified:
-        import warnings
-
-        warnings.warn(
-            f"parseval_lhs tail bound unverified at half-width 80 on "
-            f"factors {unverified}; result flagged non-converged",
-            RuntimeWarning, stacklevel=2)
     return result

@@ -576,10 +576,16 @@ def _axis_factors(k: MultiIndex, pp: ParsevalParams, form: str) -> list:
 
 
 def _family_value(factors, t, x):
+    """The product of the factors at (t, x); DomainError where it is not
+    finite, as where the t factor's polynomial overflows."""
     t_factor, axis_factors = factors
-    value = t_factor(t)
-    for factor, xj in zip(axis_factors, _coords(x, len(axis_factors))):
-        value = value * factor(xj)
+    coords = _coords(x, len(axis_factors))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = t_factor(t)
+        for factor, xj in zip(axis_factors, coords):
+            value = value * factor(xj)
+    if not np.isfinite(value).all():
+        raise DomainError("family value overflows at this argument")
     return _cx_or_array(value)
 
 

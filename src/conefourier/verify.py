@@ -420,6 +420,31 @@ def _parseval_params(params) -> ParsevalParams:
                           None if c2 is None else float(c2))
 
 
+def _parseval_pairs(family, n, k, m, l, pp):
+    """The t pair, then one pair per axis, of the (n, k) x (m, l)
+    orthogonality integral; every factor is finite on the whole line."""
+    swapped = ParsevalParams(pp.a2, pp.a1, pp.b2, pp.b1, pp.c2, pp.c1)
+    if family == "a":
+        factors = a_family_factors
+        weight = lambda b, c, t: gamma_cx(b - 1j * t)
+    else:
+        factors = b_family_factors
+        weight = lambda b, c, t: gamma_cx(b - 0.5j * t) * gamma_cx(c + 0.5j * t)
+    (t_f, axes_f), (t_g, axes_g) = factors(k, n, pp), factors(l, m, swapped)
+
+    def t_side(b, c, t_factor, t):
+        # where the Gamma weight is an exact 0 the t factor is taken at
+        # t = 0, so its polynomial growth never meets the underflow as inf*0
+        w = weight(b, c, t)
+        return w * t_factor(1j * np.where(w == 0.0, 0.0, t))
+
+    pairs = [(lambda t: t_side(pp.b1, pp.c1, t_f, t),
+              lambda t: np.conj(t_side(pp.b2, pp.c2, t_g, -t)))]
+    return pairs + [(lambda x, f=f: f(1j * x),
+                     lambda x, g=g: np.conj(g(-1j * x)))
+                    for f, g in zip(axes_f, axes_g)]
+
+
 def _check_parseval(family, params, cfg):
     n, m = int(params["n"]), int(params["m"])
     k = _as_multiindex(params["k"])
@@ -427,22 +452,8 @@ def _check_parseval(family, params, cfg):
     if k.d != l.d:
         raise DomainError("parseval checks need multiindices of equal dimension")
     pp = _parseval_params(params)
-    swapped = ParsevalParams(pp.a2, pp.a1, pp.b2, pp.b1, pp.c2, pp.c1)
-    if family == "a":
-        factors, norm = a_family_factors, a_norm_rhs
-        weight_f = lambda t: gamma_cx(pp.b1 - 1j * t)
-        weight_g = lambda t: gamma_cx(pp.b2 - 1j * t)
-    else:
-        factors, norm = b_family_factors, b_norm_rhs
-        weight_f = lambda t: (gamma_cx(pp.b1 - 0.5j * t)
-                              * gamma_cx(pp.c1 + 0.5j * t))
-        weight_g = lambda t: (gamma_cx(pp.b2 - 0.5j * t)
-                              * gamma_cx(pp.c2 + 0.5j * t))
-    (t_f, axes_f), (t_g, axes_g) = factors(k, n, pp), factors(l, m, swapped)
-    pairs = [(lambda t: weight_f(t) * t_f(1j * t),
-              lambda t: weight_g(t) * np.conj(t_g(-1j * t)))]
-    pairs += [(lambda x, f=f: f(1j * x), lambda x, g=g: np.conj(g(-1j * x)))
-              for f, g in zip(axes_f, axes_g)]
+    norm = a_norm_rhs if family == "a" else b_norm_rhs
+    pairs = _parseval_pairs(family, n, k, m, l, pp)
     # keyword arguments: callers that wrap positional integrand arguments
     # (bench/tracer.py) must not mistake the pair list for an integrand
     res = parseval_lhs(pairs=pairs, cfg=cfg or _CFG_PARSEVAL)

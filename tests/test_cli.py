@@ -72,6 +72,15 @@ def test_eval_missing_mu_for_nonzero_k(capsys):
     assert "mu" in err
 
 
+@pytest.mark.parametrize("command,x", [("eval", "x=0.5,0.7"),
+                                       ("table", "x=0.5,0:1:3")])
+def test_scalar_argument_rejects_extra_components(capsys, command, x):
+    code, out, err = run_cli(capsys, command, "gegenbauer", "n=1", "mu=1", x)
+    assert code == 2
+    assert out == ""
+    assert "scalar" in err
+
+
 def test_eval_domain_error_exit_3(capsys):
     code, _, err = run_cli(capsys, "eval", "gegenbauer", "n=2", "mu=-0.6",
                            "x=0.1")

@@ -8,8 +8,9 @@ import pytest
 
 import conefourier.quadrature as quadrature
 from conefourier import (DomainError, IntegralResult, NonConvergenceError,
-                         QuadratureConfig, fourier_num, gamma_cx,
-                         integrate_1d, integrate_tensor, parseval_lhs)
+                         ParsevalParams, QuadratureConfig, a_family_factors,
+                         fourier_num, gamma_cx, integrate_1d,
+                         integrate_tensor, parseval_lhs)
 
 
 def _check_contract(res, cfg):
@@ -96,6 +97,32 @@ def test_nonconvergence_carries_best_result():
     want = math.atan(5.0) / 5.0
     assert res.value == pytest.approx(want, rel=1e-8)
     assert "did not converge" in str(err.value)
+
+
+def test_de_first_acceptance_level_does_not_extrapolate():
+    # a Parseval axis factor on the whole line whose ladder is not yet in
+    # its quadratic regime at level 3: an extrapolated estimate there
+    # came out 10x below the true error
+    pp = ParsevalParams(0.8, 0.6, 0.9, 0.7)
+    swapped = ParsevalParams(0.6, 0.8, 0.7, 0.9)
+    (_, [f]), (_, [g]) = (a_family_factors((2,), 2, pp),
+                          a_family_factors((2,), 2, swapped))
+    h = lambda x: f(1j * x) * np.conj(g(-1j * x))
+    line = (-math.inf, math.inf)
+    res = integrate_1d(h, line, QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7))
+    ref = integrate_1d(h, line, QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15))
+    assert res.error_estimate >= abs(res.value - ref.value)
+
+
+@pytest.mark.parametrize("interval,want", [
+    ((-math.inf, math.inf), math.sqrt(math.pi)),
+    ((0.0, math.inf), 0.5 * math.sqrt(math.pi)),
+    ((-math.inf, 0.0), 0.5 * math.sqrt(math.pi)),
+])
+def test_gk_truncates_infinite_ends(interval, want):
+    cfg = QuadratureConfig(rule="adaptive-GK")
+    res = integrate_1d(lambda x: np.exp(-x * x), interval, cfg)
+    assert res.value == pytest.approx(want, rel=1e-10)
 
 
 def test_tensor_unit_square():
@@ -262,7 +289,12 @@ def test_fourier_cross_check_agrees():
 
 
 def test_parseval_classical_pair():
-    F = lambda xi: math.pi / np.cosh(math.pi * xi / 2.0)
+    # pi sech(pi xi / 2) in a form that cannot overflow: parseval_lhs
+    # samples the whole line, out to |xi| ~ 1e299
+    def F(xi):
+        e = np.exp(-0.5 * math.pi * np.abs(xi))
+        return 2.0 * math.pi * e / (1.0 + e * e)
+
     res = parseval_lhs([(F, F)])
     # Parseval for sech: (2 pi) * int sech^2 = 4 pi
     assert res.value == pytest.approx(4.0 * math.pi, rel=1e-10)
@@ -275,11 +307,15 @@ def test_parseval_classical_pair():
 
 def test_parseval_vanishing_factor_error_covers_zero():
     # int (x^2 - 1/4) e^{-2 x^2} dx = 0, which quadrature resolves only
-    # to roundoff: the product error bound must still cover |value - 0|
-    gauss = lambda x: np.exp(-x * x)
+    # to roundoff: the product error bound must still cover |value - 0|.
+    # half = e^{-x^2/2} without overflow at the whole line's far nodes
+    # (past |x| = 1e3 both forms are an exact 0)
+    half = lambda x: np.exp(-0.5 * np.abs(x) * np.minimum(np.abs(x), 1e3))
+    gauss = lambda x: half(x) ** 2
     cfg = QuadratureConfig()
     res = parseval_lhs([(gauss, gauss),
-                        (lambda x: (x * x - 0.25) * gauss(x), gauss)], cfg)
+                        (lambda x: (x * half(x)) ** 2 - 0.25 * gauss(x),
+                         gauss)], cfg)
     assert res.value != 0.0
     assert res.converged
     assert res.error_estimate >= abs(res.value)

@@ -386,6 +386,18 @@ def test_ab_families_zero_where_gamma_pair_underflows():
             assert abs(got[1] - want) < 1e-13 * abs(want)
 
 
+def test_ab_families_raise_where_the_product_overflows():
+    # the t factor is a polynomial in t: at |t| = 1e160 it overflows, and
+    # the family raises instead of returning inf or NaN
+    pp = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
+    for fam in (a_family, b_family):
+        with pytest.raises(DomainError):
+            fam(1e160j, (0.5,), (1,), 2, pp)
+        with pytest.raises(DomainError):
+            fam(np.array([0.3j, 1e160j]), (0.5,), (1,), 2, pp)
+        assert np.isfinite(fam(1e100j, (0.5,), (1,), 2, pp))
+
+
 def test_a_norm_rhs_collapse():
     pp = ParsevalParams(0.8, 0.6, 0.9, 0.7)
     h0 = ball_norm(MultiIndex([0]), pp.mu)

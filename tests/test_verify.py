@@ -1,14 +1,17 @@
 """Identity catalog and check engine."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import conefourier.verify as verify
-from conefourier import (DomainError, ParsevalParams, QuadratureConfig,
-                         a_family, b_family, check_identity, default_grids,
-                         gamma_cx, integrate_tensor, run_suite)
+from conefourier import (DomainError, MultiIndex, ParsevalParams,
+                         QuadratureConfig, a_family, b_family, check_identity,
+                         default_grids, gamma_cx, integrate_1d,
+                         integrate_tensor, run_suite)
 
 CATALOG = {
     "gegenbauer-orth", "laguerre-orth", "jacobi-orth", "ball-orth",
@@ -154,3 +157,43 @@ def test_parseval_factorization_matches_tensor(family):
     tensor = integrate_tensor(integrand, [(-40.0, 40.0)] * 2,
                               verify._CFG_PARSEVAL)
     assert abs(tensor.value - factored.lhs) <= 1e-7 * abs(tensor.value)
+
+
+_D1_STATES = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+
+
+def test_parseval_factor_estimates_cover_true_error():
+    # every factor integral of the d = 1 grid, at the checks' tolerances,
+    # against a 1e-15 run of the same factor: no error estimate falls
+    # below the true error
+    pp = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
+    line = (-math.inf, math.inf)
+    tight = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
+    under = []
+    for family in "ab":
+        for (n, k), (m, l) in itertools.combinations_with_replacement(
+                _D1_STATES, 2):
+            pairs = verify._parseval_pairs(family, n, MultiIndex([k]), m,
+                                           MultiIndex([l]), pp)
+            for axis, (F, G) in enumerate(pairs):
+                h = lambda s: F(s) * np.conj(G(s))
+                res = integrate_1d(h, line, verify._CFG_PARSEVAL)
+                ref = integrate_1d(h, line, tight)
+                if abs(res.value - ref.value) > res.error_estimate:
+                    under.append((family, n, k, m, l, axis))
+    assert under == []
+
+
+@pytest.mark.parametrize("family", ["a", "b"])
+def test_parseval_pairs_vanish_at_far_nodes(family):
+    # the sinh-sinh rule samples out to |s| ~ 1e299: every factor there
+    # is an exact 0, with no overflow or inf * 0 on the way
+    pp = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
+    pairs = verify._parseval_pairs(family, 2, MultiIndex([1, 1]), 2,
+                                   MultiIndex([2, 0]), pp)
+    far = np.array([-1e300, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for F, G in pairs:
+            assert np.all(F(far) == 0.0)
+            assert np.all(G(far) == 0.0)
