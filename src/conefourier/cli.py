@@ -407,6 +407,11 @@ def _tuplify(v):
     return v
 
 
+def _known_identity(ident, context: str = "") -> None:
+    if ident not in IDENTITY_IDS:
+        raise UsageError(f"unknown identity {ident!r}{context}")
+
+
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
@@ -432,8 +437,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise UsageError("config key 'grids' must be an object")
         grids = {}
         for ident, rows in gd.items():
-            if ident not in IDENTITY_IDS:
-                raise UsageError(f"unknown identity {ident!r} in grids")
+            _known_identity(ident, " in grids")
             if not isinstance(rows, list):
                 raise UsageError(f"grids[{ident!r}] must be a list")
             grids[ident] = [
@@ -516,9 +520,7 @@ def _check_params(tokens):
 
 
 def _cmd_check(ns) -> int:
-    if ns.id not in IDENTITY_IDS:
-        raise UsageError(f"unknown identity {ns.id!r}; catalog: "
-                         + ", ".join(IDENTITY_IDS))
+    _known_identity(ns.id, "; catalog: " + ", ".join(IDENTITY_IDS))
     cfg = load_config(ns.config) if ns.config else RunConfig()
     params = _check_params(ns.args)
     try:
@@ -543,8 +545,7 @@ def _cmd_suite(ns) -> int:
     else:
         selection = list(ns.ids or [])
         for ident in selection:
-            if ident not in IDENTITY_IDS:
-                raise UsageError(f"unknown identity {ident!r}")
+            _known_identity(ident)
     result = run_suite(selection, grids=cfg.grids, cfg=cfg.quadrature,
                        seed=cfg.seed, record_timing=ns.record_timing)
     text = _suite_csv(result) if cfg.format == "csv" else _suite_json(result)

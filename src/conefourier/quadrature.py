@@ -441,7 +441,7 @@ def _fourier_axes(xi, t_axis):
 
 
 def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
-                t_axis: str | None = None, cross_check: bool | None = None) -> IntegralResult:
+                t_axis: str | None = None) -> IntegralResult:
     """Numerical Fourier transform
 
         int exp(-i <xi, x>) f(x1, ..., xn) dx
@@ -454,15 +454,13 @@ def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
     |xi| components above 8 are rejected.
 
     The primary evaluation is always double-exponential on the transformed
-    domain.  Selecting rule="adaptive-GK" in cfg (or passing
-    cross_check=True) additionally runs adaptive-GK in original truncated
-    coordinates; a disagreement beyond 10x the combined error estimates
-    clears the converged flag.
+    domain.  Selecting rule="adaptive-GK" in cfg additionally runs
+    adaptive-GK in original truncated coordinates; a disagreement beyond
+    10x the combined error estimates clears the converged flag.
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    if cross_check is None:
-        cross_check = cfg.rule == "adaptive-GK"
+    cross_check = cfg.rule == "adaptive-GK"
     xi = _fourier_axes(xi, t_axis)
     dims = len(xi)
     n_x = dims - 1 if t_axis else dims

@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
-_MATCH_TOL = 1e-12
 
 
 class FreqVector:
@@ -194,9 +193,7 @@ class ParsevalParams:
 
     The orthogonality theorems hold only under the parameter couplings
     mu = |a| - 1/2 and beta = |b| - 2|a| (and gamma = |c| - 1 when the c
-    pair is present), so the constructor computes these derived values
-    itself; passing explicit mu/beta/gamma keywords is allowed only when
-    they match the computed couplings.
+    pair is present), so these are derived values, not parameters.
     """
     a1: float
     a2: float
@@ -205,8 +202,7 @@ class ParsevalParams:
     c1: float | None
     c2: float | None
 
-    def __init__(self, a1, a2, b1, b2, c1=None, c2=None,
-                 mu=None, beta=None, gamma=None):
+    def __init__(self, a1, a2, b1, b2, c1=None, c2=None):
         object.__setattr__(self, "a1", _positive_real(a1, "a1"))
         object.__setattr__(self, "a2", _positive_real(a2, "a2"))
         object.__setattr__(self, "b1", _positive_real(b1, "b1"))
@@ -219,15 +215,6 @@ class ParsevalParams:
         else:
             object.__setattr__(self, "c1", None)
             object.__setattr__(self, "c2", None)
-        for name, given, computed in (("mu", mu, self.mu), ("beta", beta, self.beta),
-                                      ("gamma", gamma, self.gamma)):
-            if given is not None:
-                if computed is None:
-                    raise DomainError(f"{name} requires the c parameter pair")
-                if abs(float(given) - computed) > _MATCH_TOL:
-                    raise DomainError(
-                        f"{name}={given} conflicts with the matching condition "
-                        f"value {computed}; overrides must agree")
 
     @property
     def abs_a(self) -> float:
@@ -359,7 +346,8 @@ def g_laguerre(t, x, k, n, params: TransformParamsLaguerre):
     d = k.d
     ta = np.asarray(t, dtype=np.float64)
     dead = ta > 8.0  # exp(-e^t/2) < 1e-647: identically 0 in doubles
-    u = np.exp(np.where(dead, 0.0, ta))
+    ta = np.where(dead, 0.0, ta)
+    u = np.exp(ta)
     alpha = 2 * k.total + 2 * params.mu + params.beta + d - 1
     lag = laguerre(int(n) - k.total, alpha, u)
     core = np.exp(-0.5 * u + (params.b + k.total) * ta)
@@ -400,18 +388,29 @@ def _check_j(j: int, k: MultiIndex, d: int) -> None:
         raise DomainError(f"axis index j={j} outside 1..{d}")
 
 
+def _at_zero_where(prefactor, x):
+    """x, taken at 0 where the prefactor has underflowed to an exact 0, so
+    that the growth of a terminating series in x never meets it as inf * 0
+    (the product is 0 there either way)."""
+    dead = prefactor == 0.0
+    if np.ndim(dead):
+        return np.where(dead, 0.0, x)
+    return 0.0 if dead else x
+
+
 def theta_hyper(j: int, d: int, a, mu, k, xi_j) -> Cx:
     """Axis-j Beta-times-3F2 factor of the ball transform."""
     k = _as_multiindex(k)
     _check_j(j, k, d)
     tail = k.tail(j + 1)
-    arg_p, arg_m = _theta_beta_args(j, d, a, k, xi_j)
+    bb = beta_cx(*_theta_beta_args(j, d, a, k, xi_j))
+    arg_p, _ = _theta_beta_args(j, d, a, k, _at_zero_where(bb, xi_j))
     kj = k[j - 1]
     f32 = _pfq_terminating(
         (-kj, kj + 2.0 * (tail + mu + (d - j) / 2.0), arg_p),
         (tail + mu + (d - j + 1) / 2.0, tail + 2.0 * a + (d - j) / 2.0),
         1.0)
-    return beta_cx(arg_p, arg_m) * f32
+    return bb * f32
 
 
 def theta_hahn(j: int, d: int, a, mu, k, xi_j) -> Cx:
@@ -420,15 +419,16 @@ def theta_hahn(j: int, d: int, a, mu, k, xi_j) -> Cx:
     k = _as_multiindex(k)
     _check_j(j, k, d)
     tail = k.tail(j + 1)
-    arg_p, arg_m = _theta_beta_args(j, d, a, k, xi_j)
+    bb = beta_cx(*_theta_beta_args(j, d, a, k, xi_j))
     kj = k[j - 1]
     alpha = a + tail / 2.0 + (d - j) / 4.0
     beta = mu - a + (tail + 1) / 2.0 + (d - j) / 4.0
     pref = math.factorial(kj) * _I_POWERS[(-kj) % 4] / (
         pochhammer(tail + mu + (d - j + 1) / 2.0, kj)
         * pochhammer(tail + 2.0 * a + (d - j) / 2.0, kj))
-    return pref * beta_cx(arg_p, arg_m) * continuous_hahn(
-        kj, 0.5 * np.asarray(xi_j), alpha, beta, beta, alpha)
+    return pref * bb * continuous_hahn(
+        kj, 0.5 * np.asarray(_at_zero_where(bb, xi_j)), alpha, beta, beta,
+        alpha)
 
 
 def lambda_factor(n: int, k, b, mu, beta, xi) -> Cx:
@@ -452,8 +452,7 @@ def xi_factor(n: int, k, b, c, mu, beta, gamma, xi) -> Cx:
         1.0)
 
 
-def _ball_transform_core(k: MultiIndex, a, mu, xi: tuple,
-                         theta=theta_hyper) -> Cx:
+def _ball_transform_core(k: MultiIndex, a, mu, xi: tuple) -> Cx:
     d = k.d
     for j in range(1, d + 1):
         if not a + k.tail(j + 1) / 2.0 + (d - j) / 4.0 > 0.0:
@@ -467,7 +466,7 @@ def _ball_transform_core(k: MultiIndex, a, mu, xi: tuple,
         kj = k[j - 1]
         tail = k.tail(j + 1)
         value = value * pochhammer(2.0 * (tail + mu + (d - j) / 2.0), kj) \
-            / math.factorial(kj) * theta(j, d, a, mu, k, xi[j - 1])
+            / math.factorial(kj) * theta_hyper(j, d, a, mu, k, xi[j - 1])
     return value
 
 
@@ -499,8 +498,9 @@ def ft_g_laguerre_closed(k, n: int, params: TransformParamsLaguerre, xi) -> Cx:
     zpow = np.exp((b + k.total - 1j * xit) * _LOG2)
     m = int(n) - k.total
     pref = pochhammer(2 * k.total + 2.0 * mu + beta + d, m) / math.factorial(m)
-    return _cx_or_array(zpow * pref * gamma_cx(b + k.total - 1j * xit)
-                        * ball * lambda_factor(n, k, b, mu, beta, xit))
+    gam = gamma_cx(b + k.total - 1j * xit)
+    return _cx_or_array(zpow * pref * gam * ball * lambda_factor(
+        n, k, b, mu, beta, _at_zero_where(gam, xit)))
 
 
 def ft_g_jacobi_closed(k, n: int, params: TransformParamsJacobi, xi) -> Cx:
@@ -522,8 +522,8 @@ def ft_g_jacobi_closed(k, n: int, params: TransformParamsJacobi, xi) -> Cx:
     pref = pochhammer(2 * k.total + 2.0 * mu + beta + d, m) / math.factorial(m)
     gammas = gamma_cx(b + k.total - 0.5j * xit) * gamma_cx(c + 0.5j * xit) \
         / gamma_cx(k.total + b + c)
-    return _cx_or_array(zpow * pref * gammas * ball
-                        * xi_factor(n, k, b, c, mu, beta, gamma, xit))
+    return _cx_or_array(zpow * pref * gammas * ball * xi_factor(
+        n, k, b, c, mu, beta, gamma, _at_zero_where(gammas, xit)))
 
 
 # ----------------------------------------------------------------------
@@ -544,9 +544,8 @@ def _family_axis_factor(xj, j: int, k: MultiIndex, pp: ParsevalParams,
     Gamma pair Gamma(alpha_j - x_j/2) Gamma(alpha_j + x_j/2) times a
     terminating 3F2 (or its continuous-Hahn rewriting).
 
-    Where the Gamma pair underflows the factor is exactly 0: the
-    polynomial is evaluated at x_j = 0 there, so its overflow at large
-    |x_j| never meets the underflow as inf * 0."""
+    Where the Gamma pair underflows the factor is exactly 0, with the
+    polynomial taken at x_j = 0 (_at_zero_where)."""
     d = k.d
     kj = k[j - 1]
     tail = k.tail(j + 1)
@@ -555,7 +554,7 @@ def _family_axis_factor(xj, j: int, k: MultiIndex, pp: ParsevalParams,
     base = a1 + tail / 2.0 + (d - j) / 4.0
     pair = gamma_cx(np.stack((base - 0.5 * xj, base + 0.5 * xj)))
     gg = pair[0] * pair[1]
-    xj = np.where(gg == 0.0, 0.0, xj)
+    xj = _at_zero_where(gg, xj)
     if form == "hyper":
         return gg * _pfq_terminating(
             (-kj, kj + 2.0 * (tail + abs_a + (d - j - 1) / 2.0),
@@ -570,33 +569,38 @@ def _family_axis_factor(xj, j: int, k: MultiIndex, pp: ParsevalParams,
         kj, -0.5j * xj, base, alpha2, alpha2, base)
 
 
+def _finite(compute, *args, **kwargs):
+    """compute(*args, **kwargs); DomainError where its value is not finite,
+    as where a t factor's polynomial overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute(*args, **kwargs)
+    if not np.isfinite(value).all():
+        raise DomainError("family value overflows at this argument")
+    return value
+
+
 def _axis_factors(k: MultiIndex, pp: ParsevalParams, form: str) -> list:
     return [partial(_family_axis_factor, j=j, k=k, pp=pp, form=form)
             for j in range(1, k.d + 1)]
 
 
 def _family_value(factors, t, x):
-    """The product of the factors at (t, x); DomainError where it is not
-    finite, as where the t factor's polynomial overflows."""
+    """The product of the factors at (t, x), checked by _finite."""
     t_factor, axis_factors = factors
     coords = _coords(x, len(axis_factors))
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def product():
         value = t_factor(t)
         for factor, xj in zip(axis_factors, coords):
             value = value * factor(xj)
-    if not np.isfinite(value).all():
-        raise DomainError("family value overflows at this argument")
-    return _cx_or_array(value)
+        return value
+
+    return _cx_or_array(_finite(product))
 
 
-def a_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
-    """The first Parseval family as separable factors
-    (t_factor, [axis_factor_1, ..., axis_factor_d]) with
-
-        a_family(t, x) = t_factor(t) * prod_j axis_factor_j(x_j).
-
-    t_factor is the argument-2 2F1 in t times the shifted Pochhammer
-    (b1 - t)_|k|; each factor is a vectorized callable of one variable."""
+def _a_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
+    """The factors of a_family_factors, unguarded: a_family checks their
+    product, and the Parseval oracle takes them only where finite."""
     k = _as_multiindex(k)
     _check_k_n(k, n)
     _check_form(form)
@@ -611,11 +615,8 @@ def a_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
     return t_factor, _axis_factors(k, pp, form)
 
 
-def b_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
-    """The second Parseval family as separable factors, as in
-    a_family_factors.  t_factor is a terminating 3F2 at 1 in t
-    (equivalently a degree n-|k| continuous-Hahn polynomial) times
-    (b1 - t/2)_|k|."""
+def _b_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
+    """The factors of b_family_factors, unguarded, as in _a_factors."""
     k = _as_multiindex(k)
     _check_k_n(k, n)
     _check_form(form)
@@ -642,6 +643,33 @@ def b_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
     return t_factor, _axis_factors(k, pp, form)
 
 
+def _guarded(factors):
+    """The factors, each checked by _finite."""
+    t_factor, axis_factors = factors
+    return (partial(_finite, t_factor),
+            [partial(_finite, factor) for factor in axis_factors])
+
+
+def a_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
+    """The first Parseval family as separable factors
+    (t_factor, [axis_factor_1, ..., axis_factor_d]) with
+
+        a_family(t, x) = t_factor(t) * prod_j axis_factor_j(x_j).
+
+    t_factor is the argument-2 2F1 in t times the shifted Pochhammer
+    (b1 - t)_|k|; each factor is a vectorized callable of one variable
+    that raises DomainError where its value is not finite."""
+    return _guarded(_a_factors(k, n, pp, form))
+
+
+def b_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
+    """The second Parseval family as separable factors, as in
+    a_family_factors.  t_factor is a terminating 3F2 at 1 in t
+    (equivalently a degree n-|k| continuous-Hahn polynomial) times
+    (b1 - t/2)_|k|."""
+    return _guarded(_b_factors(k, n, pp, form))
+
+
 def a_family(t, x, k, n: int, pp: ParsevalParams, form: str = "hyper") -> Cx:
     """First Parseval family: argument-2 2F1 in t times the shifted
     Pochhammer (b1 - t)_|k| times the axis product.
@@ -649,14 +677,14 @@ def a_family(t, x, k, n: int, pp: ParsevalParams, form: str = "hyper") -> Cx:
     t and the entries of x may be complex scalars or broadcastable
     arrays; the orthogonality theorem evaluates them on the imaginary
     slices (it, ix)."""
-    return _family_value(a_family_factors(k, n, pp, form), t, x)
+    return _family_value(_a_factors(k, n, pp, form), t, x)
 
 
 def b_family(t, x, k, n: int, pp: ParsevalParams, form: str = "hyper") -> Cx:
     """Second Parseval family: terminating 3F2 at 1 in t (equivalently a
     degree n-|k| continuous-Hahn polynomial) times (b1 - t/2)_|k| times
     the axis product."""
-    return _family_value(b_family_factors(k, n, pp, form), t, x)
+    return _family_value(_b_factors(k, n, pp, form), t, x)
 
 
 def _axis_norm_log(k: MultiIndex, pp: ParsevalParams) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -27,15 +28,13 @@ from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
                            _as_multiindex, _cube_to_ball, ball_norm, ball_op,
                            ball_weight, cone_inner_product_separated,
                            jacobi_cone, laguerre_cone)
-from .quadrature import (IntegralResult, NonConvergenceError, QuadratureConfig,
-                         fourier_num, integrate_1d, integrate_tensor,
-                         parseval_lhs)
+from .quadrature import (NonConvergenceError, QuadratureConfig, fourier_num,
+                         integrate_1d, integrate_tensor, parseval_lhs)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
-                         TransformParamsLaguerre, a_family_factors,
-                         a_norm_rhs, b_family_factors, b_norm_rhs, f_d,
-                         f_d_via_g1, f_d_via_g2, ft_f_closed,
-                         ft_g_jacobi_closed, ft_g_laguerre_closed, g_jacobi,
-                         g_laguerre, theta_hahn, theta_hyper)
+                         TransformParamsLaguerre, _a_factors, _b_factors,
+                         a_norm_rhs, b_norm_rhs, f_d, f_d_via_g1, f_d_via_g2,
+                         ft_f_closed, ft_g_jacobi_closed, ft_g_laguerre_closed,
+                         g_jacobi, g_laguerre, theta_hahn, theta_hyper)
 from .univariate import (gegenbauer, gegenbauer_norm, jacobi, jacobi_norm,
                          laguerre, laguerre_norm)
 
@@ -47,43 +46,6 @@ __all__ = [
     "run_suite",
     "default_grids",
 ]
-
-IDENTITY_IDS = (
-    "gegenbauer-orth",
-    "laguerre-orth",
-    "jacobi-orth",
-    "ball-orth",
-    "ball-eigen",
-    "cone-orth-laguerre",
-    "cone-orth-jacobi",
-    "ft-f",
-    "ft-g-laguerre",
-    "ft-g-jacobi",
-    "theta-dual",
-    "fd-recursion",
-    "parseval-a",
-    "parseval-b",
-    "norm-constants",
-)
-
-# rel tolerance by identity
-_TOL = {
-    "gegenbauer-orth": 1e-10,
-    "laguerre-orth": 1e-10,
-    "jacobi-orth": 1e-10,
-    "ball-orth": 1e-8,
-    "ball-eigen": 1e-4,
-    "cone-orth-laguerre": 1e-6,
-    "cone-orth-jacobi": 1e-6,
-    "ft-f": 1e-6,
-    "ft-g-laguerre": 1e-6,
-    "ft-g-jacobi": 1e-6,
-    "theta-dual": 1e-11,
-    "fd-recursion": 1e-11,
-    "parseval-a": 1e-5,
-    "parseval-b": 1e-5,
-    "norm-constants": 1e-11,
-}
 
 
 @dataclass(frozen=True)
@@ -116,9 +78,7 @@ def _freeze_params(params: dict) -> tuple:
     out = []
     for key in sorted(params):
         v = params[key]
-        if isinstance(v, MultiIndex):
-            v = v.components
-        elif isinstance(v, FreqVector):
+        if isinstance(v, (MultiIndex, FreqVector)):
             v = v.components
         elif isinstance(v, (list, tuple, np.ndarray)):
             v = tuple(float(c) if not float(c).is_integer() else int(c)
@@ -139,7 +99,7 @@ def _report(id: str, params: dict, lhs, rhs, evals: int, seconds: float,
             scale: float | None = None, reason: str = "") -> CheckReport:
     lhs = complex(lhs)
     rhs = complex(rhs)
-    tol = _TOL[id]
+    tol = _CATALOG[id][1]
     abs_err = abs(lhs - rhs)
     if scale is not None:
         rel_err = abs_err / scale
@@ -152,6 +112,15 @@ def _report(id: str, params: dict, lhs, rhs, evals: int, seconds: float,
     passed = bool(finite and not reason and rel_err <= tol)
     return CheckReport(id, _freeze_params(params), lhs, rhs, abs_err,
                        float(rel_err), tol, passed, seconds, int(evals), reason)
+
+
+def _orth(res, norm, k, l):
+    """The row of an orthogonality integral res between the states k and
+    l (argument tuples of norm): the diagonal compares with norm(*k), an
+    off-diagonal with 0 on the scale sqrt(norm(*k) * norm(*l))."""
+    if k == l:
+        return res.value, norm(*k), None, res.evaluations
+    return res.value, 0.0, math.sqrt(norm(*k) * norm(*l)), res.evaluations
 
 
 # ----------------------------------------------------------------------
@@ -174,10 +143,7 @@ def _check_gegenbauer_orth(params, cfg):
         lambda x: gegenbauer(n, mu, x) * gegenbauer(m, mu, x)
         * (1.0 - x * x) ** (mu - 0.5),
         (-1.0, 1.0), cfg or _CFG_1D)
-    if n == m:
-        return res.value, gegenbauer_norm(n, mu), None, res.evaluations
-    scale = math.sqrt(gegenbauer_norm(n, mu) * gegenbauer_norm(m, mu))
-    return res.value, 0.0, scale, res.evaluations
+    return _orth(res, lambda n: gegenbauer_norm(n, mu), (n,), (m,))
 
 
 def _check_laguerre_orth(params, cfg):
@@ -194,10 +160,7 @@ def _check_laguerre_orth(params, cfg):
         return np.where(dead, 0.0, val)
 
     res = integrate_1d(integrand, (0.0, math.inf), cfg or _CFG_1D)
-    if n == m:
-        return res.value, laguerre_norm(n, alpha), None, res.evaluations
-    scale = math.sqrt(laguerre_norm(n, alpha) * laguerre_norm(m, alpha))
-    return res.value, 0.0, scale, res.evaluations
+    return _orth(res, lambda n: laguerre_norm(n, alpha), (n,), (m,))
 
 
 def _check_jacobi_orth(params, cfg):
@@ -207,10 +170,7 @@ def _check_jacobi_orth(params, cfg):
         lambda t: jacobi(n, alpha, beta, t) * jacobi(m, alpha, beta, t)
         * (1.0 - t) ** alpha * (1.0 + t) ** beta,
         (-1.0, 1.0), cfg or _CFG_1D)
-    if n == m:
-        return res.value, jacobi_norm(n, alpha, beta), None, res.evaluations
-    scale = math.sqrt(jacobi_norm(n, alpha, beta) * jacobi_norm(m, alpha, beta))
-    return res.value, 0.0, scale, res.evaluations
+    return _orth(res, lambda n: jacobi_norm(n, alpha, beta), (n,), (m,))
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +202,7 @@ def _check_ball_orth(params, cfg):
                 * jac)
 
     res = integrate_tensor(integrand, [(-1.0, 1.0)] * k.d, cfg or _CFG_BALL)
-    if k == l:
-        return res.value, ball_norm(k, mu), None, res.evaluations
-    scale = math.sqrt(ball_norm(k, mu) * ball_norm(l, mu))
-    return res.value, 0.0, scale, res.evaluations
+    return _orth(res, lambda k: ball_norm(k, mu), (k,), (l,))
 
 
 _FD_STEP = 1e-4
@@ -322,37 +279,42 @@ def _check_cone_orth(family, params, cfg):
     l = _as_multiindex(params["l"])
     cone, basis = _cone_state(family, params)
     base = cfg or _CFG_CONE
-    d = k.d
-    res = cone_inner_product_separated(basis(n, k), basis(m, l), d, cone, base)
-    if n == m and k == l:
-        gk = cone_inner_product_separated(
-            basis(n, k), basis(m, l), d, cone, replace(base, rule="adaptive-GK"))
-        return res.value, gk.value, None, res.evaluations + gk.evaluations
-    dn = cone_inner_product_separated(basis(n, k), basis(n, k), d, cone, base)
-    dm = cone_inner_product_separated(basis(m, l), basis(m, l), d, cone, base)
-    scale = math.sqrt(abs(dn.value) * abs(dm.value))
-    return res.value, 0.0, scale, res.evaluations
+
+    def inner(p, q, rule_cfg=base):
+        return cone_inner_product_separated(basis(*p), basis(*q), k.d, cone,
+                                            rule_cfg)
+
+    res = inner((n, k), (m, l))
+    norm = lambda *p: abs(inner(p, p).value)
+    if (n, k) == (m, l):
+        # the diagonal's reference is the adaptive-GK run of the same integral
+        gk = inner((n, k), (m, l), replace(base, rule="adaptive-GK"))
+        res = replace(res, evaluations=res.evaluations + gk.evaluations)
+        norm = lambda *p: gk.value
+    return _orth(res, norm, (n, k), (m, l))
 
 
 # ----------------------------------------------------------------------
 # Fourier transform identities
 # ----------------------------------------------------------------------
 
-def _ft_scale(res, base):
+def _fourier_row(lhs, f, xi, cfg, t_axis=None):
+    """The row of a closed-form transform lhs against fourier_num of f."""
+    base = cfg or _CFG_FOURIER
+    res = fourier_num(f, xi, base, t_axis=t_axis)
     # odd symmetry makes some transforms vanish exactly; dividing by a
     # quadrature value of ~1e-17 there would report rel_err 1, so the
     # error is judged against the oracle's own resolution instead
-    return max(abs(res.value), 10.0 * base.abs_tol)
+    return (lhs, res.value, max(abs(res.value), 10.0 * base.abs_tol),
+            res.evaluations)
 
 
 def _check_ft_f(params, cfg):
     k = _as_multiindex(params["k"])
     a, mu = float(params["a"]), float(params["mu"])
     xi = FreqVector(params["xi"])
-    lhs = ft_f_closed(k, a, mu, xi)
-    base = cfg or _CFG_FOURIER
-    res = fourier_num(lambda *xs: f_d(xs, k, a, mu), xi, base)
-    return lhs, res.value, _ft_scale(res, base), res.evaluations
+    return _fourier_row(ft_f_closed(k, a, mu, xi),
+                        lambda *xs: f_d(xs, k, a, mu), xi, cfg)
 
 
 def _check_ft_g_laguerre(params, cfg):
@@ -361,11 +323,9 @@ def _check_ft_g_laguerre(params, cfg):
     tp = TransformParamsLaguerre(float(params["a"]), float(params["b"]),
                                  float(params["beta"]), float(params["mu"]))
     xi = FreqVector(params["xi"])
-    lhs = ft_g_laguerre_closed(k, n, tp, xi)
-    base = cfg or _CFG_FOURIER
-    res = fourier_num(lambda *cs: g_laguerre(cs[-1], cs[:-1], k, n, tp),
-                      xi, base, t_axis="laguerre")
-    return lhs, res.value, _ft_scale(res, base), res.evaluations
+    return _fourier_row(ft_g_laguerre_closed(k, n, tp, xi),
+                        lambda *cs: g_laguerre(cs[-1], cs[:-1], k, n, tp),
+                        xi, cfg, "laguerre")
 
 
 def _check_ft_g_jacobi(params, cfg):
@@ -375,11 +335,9 @@ def _check_ft_g_jacobi(params, cfg):
                                float(params["c"]), float(params["beta"]),
                                float(params["mu"]), float(params["gamma"]))
     xi = FreqVector(params["xi"])
-    lhs = ft_g_jacobi_closed(k, n, tp, xi)
-    base = cfg or _CFG_FOURIER
-    res = fourier_num(lambda *cs: g_jacobi(cs[-1], cs[:-1], k, n, tp),
-                      xi, base, t_axis="jacobi")
-    return lhs, res.value, _ft_scale(res, base), res.evaluations
+    return _fourier_row(ft_g_jacobi_closed(k, n, tp, xi),
+                        lambda *cs: g_jacobi(cs[-1], cs[:-1], k, n, tp),
+                        xi, cfg, "jacobi")
 
 
 def _check_theta_dual(params, cfg):
@@ -412,12 +370,9 @@ def _check_fd_recursion(params, cfg):
 # ----------------------------------------------------------------------
 
 def _parseval_params(params) -> ParsevalParams:
-    c1 = params.get("c1")
-    c2 = params.get("c2")
-    return ParsevalParams(float(params["a1"]), float(params["a2"]),
-                          float(params["b1"]), float(params["b2"]),
-                          None if c1 is None else float(c1),
-                          None if c2 is None else float(c2))
+    ab = [float(params[key]) for key in ("a1", "a2", "b1", "b2")]
+    cs = [params.get(key) for key in ("c1", "c2")]
+    return ParsevalParams(*ab, *(None if c is None else float(c) for c in cs))
 
 
 def _parseval_pairs(family, n, k, m, l, pp):
@@ -425,10 +380,10 @@ def _parseval_pairs(family, n, k, m, l, pp):
     orthogonality integral; every factor is finite on the whole line."""
     swapped = ParsevalParams(pp.a2, pp.a1, pp.b2, pp.b1, pp.c2, pp.c1)
     if family == "a":
-        factors = a_family_factors
+        factors = _a_factors
         weight = lambda b, c, t: gamma_cx(b - 1j * t)
     else:
-        factors = b_family_factors
+        factors = _b_factors
         weight = lambda b, c, t: gamma_cx(b - 0.5j * t) * gamma_cx(c + 0.5j * t)
     (t_f, axes_f), (t_g, axes_g) = factors(k, n, pp), factors(l, m, swapped)
 
@@ -457,10 +412,7 @@ def _check_parseval(family, params, cfg):
     # keyword arguments: callers that wrap positional integrand arguments
     # (bench/tracer.py) must not mistake the pair list for an integrand
     res = parseval_lhs(pairs=pairs, cfg=cfg or _CFG_PARSEVAL)
-    if n == m and k == l:
-        return res.value, norm(n, k, pp), None, res.evaluations
-    scale = math.sqrt(norm(n, k, pp) * norm(m, l, pp))
-    return res.value, 0.0, scale, res.evaluations
+    return _orth(res, lambda n, k: norm(n, k, pp), (n, k), (m, l))
 
 
 # ----------------------------------------------------------------------
@@ -514,23 +466,26 @@ def _check_norm_constants(params, cfg):
     raise DomainError(f"unknown norm-constants row {which!r}")
 
 
-_BUILDERS = {
-    "gegenbauer-orth": _check_gegenbauer_orth,
-    "laguerre-orth": _check_laguerre_orth,
-    "jacobi-orth": _check_jacobi_orth,
-    "ball-orth": _check_ball_orth,
-    "ball-eigen": _check_ball_eigen,
-    "cone-orth-laguerre": lambda p, c: _check_cone_orth("laguerre", p, c),
-    "cone-orth-jacobi": lambda p, c: _check_cone_orth("jacobi", p, c),
-    "ft-f": _check_ft_f,
-    "ft-g-laguerre": _check_ft_g_laguerre,
-    "ft-g-jacobi": _check_ft_g_jacobi,
-    "theta-dual": _check_theta_dual,
-    "fd-recursion": _check_fd_recursion,
-    "parseval-a": lambda p, c: _check_parseval("a", p, c),
-    "parseval-b": lambda p, c: _check_parseval("b", p, c),
-    "norm-constants": _check_norm_constants,
+# id -> (builder, rel tolerance); a builder takes (params, cfg) and
+# returns (lhs, rhs, scale, evals) for _report
+_CATALOG = {
+    "gegenbauer-orth": (_check_gegenbauer_orth, 1e-10),
+    "laguerre-orth": (_check_laguerre_orth, 1e-10),
+    "jacobi-orth": (_check_jacobi_orth, 1e-10),
+    "ball-orth": (_check_ball_orth, 1e-8),
+    "ball-eigen": (_check_ball_eigen, 1e-4),
+    "cone-orth-laguerre": (partial(_check_cone_orth, "laguerre"), 1e-6),
+    "cone-orth-jacobi": (partial(_check_cone_orth, "jacobi"), 1e-6),
+    "ft-f": (_check_ft_f, 1e-6),
+    "ft-g-laguerre": (_check_ft_g_laguerre, 1e-6),
+    "ft-g-jacobi": (_check_ft_g_jacobi, 1e-6),
+    "theta-dual": (_check_theta_dual, 1e-11),
+    "fd-recursion": (_check_fd_recursion, 1e-11),
+    "parseval-a": (partial(_check_parseval, "a"), 1e-5),
+    "parseval-b": (partial(_check_parseval, "b"), 1e-5),
+    "norm-constants": (_check_norm_constants, 1e-11),
 }
+IDENTITY_IDS = tuple(_CATALOG)
 
 
 def check_identity(id: str, params: dict, cfg: QuadratureConfig | None = None
@@ -539,18 +494,15 @@ def check_identity(id: str, params: dict, cfg: QuadratureConfig | None = None
     bit-identical values (the seconds field alone reflects wall time).
     Parameter validation errors raise; oracle non-convergence returns a
     failed report with the reason attached."""
-    if id not in _BUILDERS:
+    if id not in _CATALOG:
         raise DomainError(f"unknown identity {id!r}; catalog: {IDENTITY_IDS}")
     start = time.perf_counter()
     try:
-        out = _BUILDERS[id](params, cfg)
+        lhs, rhs, scale, evals = _CATALOG[id][0](params, cfg)
     except NonConvergenceError as exc:
-        partial = exc.result.value if isinstance(exc.result, IntegralResult) \
-            else math.nan
-        return _report(id, params, math.nan, partial,
-                       getattr(exc.result, "evaluations", 0),
-                       time.perf_counter() - start, reason=str(exc))
-    lhs, rhs, scale, evals = out
+        return _report(id, params, math.nan, exc.result.value,
+                       exc.result.evaluations, time.perf_counter() - start,
+                       reason=str(exc))
     return _report(id, params, lhs, rhs, evals, time.perf_counter() - start,
                    scale=scale)
 
@@ -694,7 +646,7 @@ def run_suite(selection="all", grids: dict | None = None,
     else:
         ids = [str(s) for s in selection]
         for s in ids:
-            if s not in _BUILDERS:
+            if s not in _CATALOG:
                 raise DomainError(f"unknown identity {s!r} in selection")
     if grids is None:
         grids = default_grids(seed)
@@ -705,9 +657,7 @@ def run_suite(selection="all", grids: dict | None = None,
 
     max_rel: dict[str, float] = {}
     for r in reports:
-        cur = max_rel.get(r.id)
-        if cur is None or r.rel_err > cur:
-            max_rel[r.id] = r.rel_err
+        max_rel[r.id] = max(max_rel.get(r.id, r.rel_err), r.rel_err)
     summary = {
         "total": len(reports),
         "passed": sum(1 for r in reports if r.passed),

@@ -3,15 +3,20 @@ Parseval-derived A/B families."""
 
 import cmath
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from conefourier import (DomainError, FreqVector, MultiIndex, ParsevalParams,
                          PoleError, QuadratureConfig, TransformParamsJacobi,
-                         TransformParamsLaguerre, a_family, a_norm_rhs,
-                         b_family, b_norm_rhs, ball_norm, f_d, f_d_via_g1,
+                         TransformParamsLaguerre, a_family, a_family_factors,
+                         a_norm_rhs, b_family, b_family_factors, b_norm_rhs,
+                         ball_norm, f_d, f_d_via_g1,
                          f_d_via_g2, fourier_num, ft_f_closed,
                          ft_g_jacobi_closed, ft_g_laguerre_closed, g_jacobi,
                          g_laguerre, gamma_cx, lambda_factor, theta_hahn,
@@ -82,6 +87,17 @@ def test_g_laguerre_composition():
             * sp.eval_genlaguerre(1, alpha, math.exp(t))
             * sech ** (2 * tp.a) * 2 * tp.mu * math.tanh(x1))
     assert g_laguerre(t, (x1,), (1,), 2, tp) == pytest.approx(want, rel=1e-12)
+
+
+def test_g_laguerre_dead_tail_is_silent():
+    # past t = 8 the value is an exact 0; e^((b+|k|) t) must not overflow
+    tp = TransformParamsLaguerre(0.7, 1.2, 0.5, 0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert g_laguerre(1000.0, (0.3,), (1,), 2, tp) == 0.0
+        got = g_laguerre(np.array([0.3, 1000.0]), (0.3,), (1,), 2, tp)
+    assert got[0] == g_laguerre(0.3, (0.3,), (1,), 2, tp)
+    assert got[1] == 0.0
 
 
 def test_g_jacobi_base_and_decay():
@@ -210,6 +226,25 @@ def test_closed_transforms_take_array_frequencies():
     assert hash(FreqVector((0.5, 1.0))) == hash(FreqVector((0.5, 1.0)))
 
 
+def test_closed_transforms_vanish_at_huge_frequencies():
+    # the Beta/Gamma prefactor underflows to an exact 0 while the
+    # terminating series in xi overflows: the value is 0, not inf * 0
+    lag = TransformParamsLaguerre(0.7, 1.2, 0.5, 0.9)
+    jac = TransformParamsJacobi(0.8, 1.1, 0.9, 0.4, 0.7, 0.6)
+    calls = [
+        (lambda xi: ft_f_closed((2,), 0.8, 0.6, (xi,)), 1e155),
+        (lambda xi: ft_g_laguerre_closed((0,), 3, lag, (0.1, xi)), 1e155),
+        (lambda xi: ft_g_jacobi_closed((0,), 3, jac, (0.1, xi)), 1e155),
+        (lambda xi: theta_hyper(1, 2, 0.8, 0.6, (2, 1), xi), 1e200),
+        (lambda xi: theta_hahn(1, 2, 0.8, 0.6, (2, 1), xi), 1e200),
+    ]
+    for fn, huge in calls:
+        assert fn(huge) == 0.0
+        got = fn(np.array([0.5, huge]))
+        assert got[1] == 0.0
+        assert got[0] == fn(np.array([0.5, 0.7]))[0]
+
+
 def test_ft_f_sech_line():
     assert abs(ft_f_closed((0,), 0.5, 1.0, FreqVector((0.0,))) - math.pi) < 1e-14
     for xi in (-2.0, -0.5, 0.3, 1.0, 4.0):
@@ -313,10 +348,6 @@ def test_parseval_params_couplings():
     assert not pp.has_c
     ppc = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
     assert ppc.gamma == pytest.approx(0.6)
-    # matched overrides pass, mismatched are rejected
-    ParsevalParams(0.8, 0.6, 0.9, 0.7, mu=0.9)
-    with pytest.raises(DomainError):
-        ParsevalParams(0.8, 0.6, 0.9, 0.7, mu=0.8)
     with pytest.raises(DomainError):
         ParsevalParams(0.8, 0.6, 0.9, -0.7)
 
@@ -398,6 +429,21 @@ def test_ab_families_raise_where_the_product_overflows():
         assert np.isfinite(fam(1e100j, (0.5,), (1,), 2, pp))
 
 
+def test_factor_callables_raise_where_not_finite():
+    # the public t factors overflow at |t| = 1e300 as the families do,
+    # and raise the same way; finite values pass through unchanged
+    pp = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
+    for fam, factors in ((a_family, a_family_factors),
+                         (b_family, b_family_factors)):
+        t_factor, (axis_factor,) = factors((1,), 2, pp)
+        with pytest.raises(DomainError):
+            t_factor(1e300j)
+        with pytest.raises(DomainError):
+            t_factor(np.array([0.3j, 1e300j]))
+        assert t_factor(0.3j) * axis_factor(0.5j) == fam(0.3j, (0.5j,), (1,),
+                                                          2, pp)
+
+
 def test_a_norm_rhs_collapse():
     pp = ParsevalParams(0.8, 0.6, 0.9, 0.7)
     h0 = ball_norm(MultiIndex([0]), pp.mu)
@@ -407,3 +453,63 @@ def test_a_norm_rhs_collapse():
     got = a_norm_rhs(0, (0,), pp)
     assert got == pytest.approx(want, rel=1e-12)
     assert b_norm_rhs(0, (0,), ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)) > 0
+
+
+# ------------------------------------------------- finite or DomainError
+
+_LAG = TransformParamsLaguerre(0.7, 1.2, 0.5, 0.9)
+_JAC = TransformParamsJacobi(0.8, 1.1, 0.9, 0.4, 0.7, 0.6)
+_PP = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
+_K = (2, 1)
+
+
+def _factor_calls(factors):
+    def calls(t, x, xi, u, form):
+        t_factor, axis_factors = factors(_K, 4, _PP, form)
+        return [partial(t_factor, u * t)] + [
+            partial(f, u * v) for f, v in zip(axis_factors, (x, xi))]
+    return calls
+
+
+# name -> (t, x, xi, u, form) -> the calls to check; the families and
+# their factors take the real line (u = 1) and the imaginary slice (u = i)
+_EVALUATORS = {
+    "f_d": lambda t, x, xi, u, form: [partial(f_d, (x, xi), _K, 0.8, 0.6)],
+    "g_laguerre": lambda t, x, xi, u, form: [
+        partial(g_laguerre, t, (x, xi), _K, 4, _LAG)],
+    "g_jacobi": lambda t, x, xi, u, form: [
+        partial(g_jacobi, t, (x, xi), _K, 4, _JAC)],
+    "a_family": lambda t, x, xi, u, form: [
+        partial(a_family, u * t, (u * x, u * xi), _K, 4, _PP, form)],
+    "b_family": lambda t, x, xi, u, form: [
+        partial(b_family, u * t, (u * x, u * xi), _K, 4, _PP, form)],
+    "a_family_factors": _factor_calls(a_family_factors),
+    "b_family_factors": _factor_calls(b_family_factors),
+    "theta_hyper": lambda t, x, xi, u, form: [
+        partial(theta_hyper, j, 2, 0.8, 0.6, _K, xi) for j in (1, 2)],
+    "theta_hahn": lambda t, x, xi, u, form: [
+        partial(theta_hahn, j, 2, 0.8, 0.6, _K, xi) for j in (1, 2)],
+    "ft_f_closed": lambda t, x, xi, u, form: [
+        partial(ft_f_closed, _K, 0.8, 0.6, (x, xi))],
+    "ft_g_laguerre_closed": lambda t, x, xi, u, form: [
+        partial(ft_g_laguerre_closed, _K, 4, _LAG, (x, xi, t))],
+    "ft_g_jacobi_closed": lambda t, x, xi, u, form: [
+        partial(ft_g_jacobi_closed, _K, 4, _JAC, (x, xi, t))],
+}
+
+_FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+@given(t=_FINITE, x=_FINITE, xi=_FINITE, u=st.sampled_from((1.0, 1j)),
+       form=st.sampled_from(("hyper", "hahn")))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_public_evaluators_finite_or_domain_error(name, t, x, xi, u, form):
+    for call in _EVALUATORS[name](t, x, xi, u, form):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                value = call()
+            except DomainError:
+                continue
+        assert np.isfinite(value).all(), (name, call.args)

@@ -33,6 +33,10 @@ def test_default_grids_cover_catalog():
         assert len(list(rows)) > 0
 
 
+def test_default_grids_follow_catalog_order():
+    assert list(default_grids()) == list(verify.IDENTITY_IDS)
+
+
 def test_check_gegenbauer_orth_example():
     rep = check_identity("gegenbauer-orth", {"n": 2, "m": 2, "mu": 1.0})
     assert rep.passed
