@@ -124,7 +124,11 @@ def _gamma_right(z: np.ndarray) -> np.ndarray:
     # Re z >= 1/2 only.
     x = z - 1.0
     t = x + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * np.exp((x + 0.5) * np.log(t) - t) * _lanczos_sum(x)
+    e = (x + 0.5) * np.log(t) - t
+    # exp is an exact 0 below Re e ~ -745 either way; a real -inf exponent
+    # spares it the phase of an imaginary part that may be near 1e301
+    e[e.real < -800.0] = -np.inf
+    return _SQRT_TWO_PI * np.exp(e) * _lanczos_sum(x)
 
 
 def _gamma_left(w: np.ndarray) -> np.ndarray:
@@ -282,12 +286,28 @@ def _series_dtype(values) -> type:
     return np.float64
 
 
+def _series_stop(a) -> int | None:
+    """The number of terms a numerator parameter lets through: -a for a
+    nonpositive integer, the largest -a_r for an integer array of them
+    (one termination degree per row), else None."""
+    if isinstance(a, np.ndarray) and a.dtype.kind in "iu":
+        if (a > 0).any():
+            raise DomainError(
+                "terminating pFq: integer degree parameters must be nonpositive")
+        return -int(a.min())
+    m = _nonpositive_int(a)
+    return None if m is None else -m
+
+
 def _pfq_terminating(numerator, denominator, argument):
     """Finite sum of the terminating pFq via the term-ratio recurrence.
 
     Valid for any argument (including 1 and 2) because the sum is finite.
+    A numerator parameter may be an integer array of nonpositive values,
+    one termination degree per row: the sum runs to the largest degree,
+    and a row of lower degree ends on its own exact-0 factor.
     """
-    stops = [-m for a in numerator if (m := _nonpositive_int(a)) is not None]
+    stops = [m for a in numerator if (m := _series_stop(a)) is not None]
     if not stops:
         raise DomainError(
             "terminating pFq: no numerator parameter is a nonpositive integer")
@@ -304,12 +324,14 @@ def _pfq_terminating(numerator, denominator, argument):
     term = np.ones(shape, dtype=dtype)
     total = term.copy()
     x = np.asarray(argument, dtype=dtype)
+    numerator = [np.asarray(a, dtype=dtype) for a in numerator]
+    denominator = [np.asarray(b, dtype=dtype) for b in denominator]
     for j in range(n_terms):
         factor = x / (j + 1.0)
         for a in numerator:
-            factor = factor * (np.asarray(a, dtype=dtype) + j)
+            factor = factor * (a + j)
         for b in denominator:
-            factor = factor / (np.asarray(b, dtype=dtype) + j)
+            factor = factor / (b + j)
         term = term * factor
         total = total + term
     return total if shape else total[()]

@@ -190,9 +190,14 @@ def _de_tables(a: float, b: float):
 _FIRST_LEVELS = 4
 
 
+def _meets(err, value, cfg: QuadratureConfig):
+    """The tolerance contract, row by row."""
+    return (err <= cfg.abs_tol) | (err <= cfg.rel_tol * abs(value))
+
+
 def _within(err, value, cfg: QuadratureConfig) -> bool:
     """The tolerance contract, met only when every row meets it."""
-    return bool(((err <= cfg.abs_tol) | (err <= cfg.rel_tol * abs(value))).all())
+    return bool(_meets(err, value, cfg).all())
 
 
 def _de_integrate(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -202,6 +207,7 @@ def _de_integrate(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResul
     ends = np.cumsum([x.size for x, _ in first]).tolist()
     first_fx = [head[..., end - x.size:end] for (x, _), end in zip(first, ends)]
     partial = 0.0 + 0.0j
+    l1 = 0.0
     sums = []
     evals = 0
     value = 0.0 + 0.0j
@@ -212,9 +218,11 @@ def _de_integrate(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResul
         if x.size:
             fx = (first_fx[level] if level < _FIRST_LEVELS
                   else np.asarray(f(x), dtype=np.complex128))
+            fw = fx * w
             # np.add.reduce is np.sum without its Python wrapper, whose
             # cost would show on the many small scalar ladders
-            partial = partial + np.add.reduce(fx * w, axis=-1)
+            partial = partial + np.add.reduce(fw, axis=-1)
+            l1 = l1 + np.add.reduce(abs(fw), axis=-1)
             evals += x.size
             # honest truncation term: the integrand tail beyond the
             # outermost sampled nodes (factor 2 covers power growth up to
@@ -236,9 +244,9 @@ def _de_integrate(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResul
                 # min(e1, e1^2/e2) as e1 * (e1 / max(e1, e2)): exactly e1
                 # where e2 <= e1, e2 = 0 included; (e1 == 0) keeps 0/0 out
                 extrap = e1 * (e1 / (np.fmax(e1, e2) + (e1 == 0.0)))
-            # roundoff floor: summation noise makes estimates below
-            # ~4 eps |value| meaningless
-            err = extrap + tail + 4.0 * 2.2e-16 * abs(value)
+            # roundoff floor: the sum carries noise of ~4 eps times the
+            # integral of |f|, which a value cancelling to 0 does not show
+            err = extrap + tail + 4.0 * 2.2e-16 * h * l1
             if _within(err, value, cfg):
                 return IntegralResult(value, err, evals, True)
     # a NaN sample at the outermost nodes makes the estimate infinite
@@ -352,7 +360,8 @@ def integrate_1d(f, interval, cfg: QuadratureConfig | None = None) -> IntegralRe
     if not result.converged:
         raise NonConvergenceError(
             f"integral over {interval} did not converge: estimate "
-            f"{result.error_estimate:.3e} after {result.evaluations} evaluations",
+            f"{np.max(result.error_estimate):.3e} after {result.evaluations} "
+            "evaluations",
             result)
     return result
 
@@ -521,43 +530,38 @@ def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
         primary.converged and check.converged and not disagree)
 
 
-def parseval_lhs(pairs, cfg: QuadratureConfig | None = None) -> IntegralResult:
+def parseval_lhs(f, cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Raw frequency-space inner product of separable functions,
 
         int F(xi) conj(G(xi)) dxi = prod_j int F_j(s) conj(G_j(s)) ds,
 
-    given as the 1-d factor pairs [(F_0, G_0), ..., (F_{n-1}, G_{n-1})],
-    n >= 1 (Fubini).  Each factor is integrated over the whole line by
-    the sinh-sinh double-exponential rule; its callables must therefore
-    return finite values (exact zeros where they underflow) at nodes out
-    to |s| ~ 1e299.
+    by Fubini, given as one vector-valued integrand: f(s) has shape
+    (n, s.size), n >= 1, and row j holds F_j(s) conj(G_j(s)).  All rows
+    share one whole-line rule, by default the sinh-sinh double-exponential
+    ladder, so f must return finite values (exact zeros where they
+    underflow) at nodes out to |s| ~ 1e299.  evaluations counts every row
+    at every node.
 
     The error estimate bounds the product, prod(|v_j| + e_j) - prod |v_j|,
-    which stays honest when one factor vanishes.  Raises
-    NonConvergenceError naming the first factor that misses the
-    tolerance contract.
+    which stays honest when one row vanishes.  Raises NonConvergenceError
+    naming the first row that misses the tolerance contract.
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    pairs = list(pairs)
-    if not pairs:
-        raise DomainError("parseval_lhs needs at least one factor pair")
+    res = _integrate_1d_result(f, (-math.inf, math.inf), cfg)
+    values = np.atleast_1d(res.value)
+    errors = np.atleast_1d(res.error_estimate)
+    if not values.size:
+        raise DomainError("parseval_lhs needs at least one row")
     value, bound, magnitude = 1.0 + 0.0j, 1.0, 1.0
-    evals = 0
-    bad = None
-    for axis, (F, G) in enumerate(pairs):
-        def integrand(s, F=F, G=G):
-            return F(s) * np.conj(G(s))
-
-        res = _integrate_1d_result(integrand, (-math.inf, math.inf), cfg)
-        value *= res.value
-        bound *= abs(res.value) + res.error_estimate
-        magnitude *= abs(res.value)
-        evals += res.evaluations
-        if not res.converged and bad is None:
-            bad = axis
-    result = IntegralResult(value, bound - magnitude, evals, bad is None)
-    if bad is not None:
+    for v, e in zip(values.tolist(), errors.tolist()):
+        value *= v
+        bound *= abs(v) + e
+        magnitude *= abs(v)
+    missed = np.flatnonzero(~_meets(errors, values, cfg))
+    result = IntegralResult(value, bound - magnitude,
+                            res.evaluations * values.size, not missed.size)
+    if missed.size:
         raise NonConvergenceError(
-            f"parseval factor {bad} did not converge", result)
+            f"parseval row {missed[0]} did not converge", result)
     return result

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .kernel import (Cx, DomainError, _pfq_terminating, _signed_log_pochhammer,
-                     beta_cx, gamma_cx, pochhammer)
+                     beta_cx, gamma_cx, log_gamma_cx, pochhammer)
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
                            _as_multiindex, ball_norm, ball_op)
 from .univariate import _I_POWERS, continuous_hahn, gegenbauer, jacobi, laguerre
@@ -538,35 +539,158 @@ def _check_form(form: str) -> None:
         raise DomainError(f"unknown form {form!r}; pick from {_FORMS}")
 
 
-def _family_axis_factor(xj, j: int, k: MultiIndex, pp: ParsevalParams,
-                        form: str):
-    """Axis j (1-based) factor shared by both Parseval families: the
-    Gamma pair Gamma(alpha_j - x_j/2) Gamma(alpha_j + x_j/2) times a
-    terminating 3F2 (or its continuous-Hahn rewriting).
+class _Factor(NamedTuple):
+    """One hyper-form factor of a Parseval family, a function of its one
+    variable z:
 
-    Where the Gamma pair underflows the factor is exactly 0, with the
-    polynomial taken at x_j = 0 (_at_zero_where)."""
+        prod_i Gamma(g_i + c_i z)
+            * pFq(*num, shift + slope z; *den; argument)
+            * (poch_shift + poch_slope z)_poch_n
+
+    gammas holds the pairs (g_i, c_i); num[0] is minus the series'
+    degree, an int; poch is (poch_shift, poch_slope, poch_n)."""
+    gammas: tuple
+    num: tuple
+    shift: float
+    slope: float
+    den: tuple
+    argument: float
+    poch: tuple = (0.0, 0.0, 0)
+
+
+def _t_spec(family: str, k: MultiIndex, n: int, pp: ParsevalParams) -> _Factor:
+    """The t factor of family "a", (b1 - t)_|k| times the argument-2 2F1,
+    or of family "b", (b1 - t/2)_|k| times the 3F2 at 1."""
+    kt = k.total
+    m = int(n) - kt
+    if family == "a":
+        return _Factor((), (-m,), pp.b1 + kt, -1.0, (2 * kt + pp.abs_b,), 2.0,
+                       (pp.b1, -1.0, kt))
+    return _Factor((), (-m, int(n) + kt + pp.abs_b + pp.abs_c - 1.0),
+                   kt + pp.b1, -0.5, (2 * kt + pp.abs_b, kt + pp.b1 + pp.c1),
+                   1.0, (pp.b1, -0.5, kt))
+
+
+def _axis_spec(j: int, k: MultiIndex, pp: ParsevalParams) -> _Factor:
+    """Axis j (1-based) factor shared by both families: the Gamma pair
+    Gamma(base - x/2) Gamma(base + x/2) times a terminating 3F2."""
     d = k.d
     kj = k[j - 1]
     tail = k.tail(j + 1)
-    a1, a2, abs_a = pp.a1, pp.a2, pp.abs_a
-    xj = np.asarray(xj)
-    base = a1 + tail / 2.0 + (d - j) / 4.0
-    pair = gamma_cx(np.stack((base - 0.5 * xj, base + 0.5 * xj)))
-    gg = pair[0] * pair[1]
-    xj = _at_zero_where(gg, xj)
+    base = pp.a1 + tail / 2.0 + (d - j) / 4.0
+    return _Factor(((base, -0.5), (base, 0.5)),
+                   (-kj, kj + 2.0 * (tail + pp.abs_a + (d - j - 1) / 2.0)),
+                   base, 0.5,
+                   (tail + pp.abs_a + (d - j) / 2.0,
+                    tail + 2.0 * pp.a1 + (d - j) / 2.0), 1.0)
+
+
+def _reflected_pair(alpha, x):
+    """Gamma(alpha - x/2) Gamma(alpha + x/2), with the first Gamma
+    reflected: pi Gamma(alpha + x/2) / (Gamma(1 - alpha + x/2)
+    sin(pi (alpha - x/2))), x taken to Re x >= 0 (the pair is even in x).
+    It stays finite far out on the real axis, where one Gamma of the
+    direct product overflows as the other underflows; its relative error
+    grows like eps |x| log |x| (2e-13 at x = 1e3, 4e-3 at x = 1e12)."""
+    y = 0.5 * np.where(np.real(x) < 0.0, -x, x)
+    return np.pi * np.exp(log_gamma_cx(alpha + y) - log_gamma_cx(1.0 - alpha + y)) \
+        / np.sin(np.pi * (alpha - y))
+
+
+def _gamma_pair(spec: _Factor, z):
+    """(the product of the factor's Gamma pair Gamma(alpha - z/2)
+    Gamma(alpha + z/2) at z, z taken at 0 where that product is an exact
+    0).  Where the direct product is not finite, it is taken from
+    _reflected_pair."""
+    g = gamma_cx(np.stack([shift + slope * z for shift, slope in spec.gammas]))
+    pre = g[0] * g[1]
+    if not np.isfinite(pre).all():
+        pre = np.array(pre)
+        bad = ~np.isfinite(pre)
+        pre[bad] = _reflected_pair(spec.gammas[0][0], z[bad])
+        pre = pre[()]
+    return pre, _at_zero_where(pre, z)
+
+
+def _factor_value(spec: _Factor, z):
+    """The factor at z, a scalar or an array, for a spec with no Gammas
+    (a t factor) or the symmetric pair of _axis_spec: the pair's product
+    (_gamma_pair) times the series and Pochhammer, taken at z = 0 where
+    that product is an exact 0.  The reference for _Rows."""
+    z = np.asarray(z)
+    pre = None
+    if spec.gammas:
+        pre, z = _gamma_pair(spec, z)
+    value = _pfq_terminating((*spec.num, spec.shift + spec.slope * z),
+                             spec.den, spec.argument)
+    shift, slope, n = spec.poch
+    if n:
+        value = value * pochhammer(shift + slope * z, n)
+    return value if pre is None else pre * value
+
+
+class _Rows:
+    """Factors with Gammas evaluated together, row r at its own variable
+    z[r], for z of shape (rows, points): one gamma_cx call takes every
+    Gamma of every row, and one _pfq_terminating call every group of rows
+    of one series kind (the same parameter counts and argument).  Row by
+    row it is _factor_value, but for the reflection of a Gamma pair: the
+    Parseval oracle's imaginary axis keeps every Gamma product finite."""
+
+    def __init__(self, factors):
+        # the Gammas in one column: every row's first, then the second
+        # Gamma of each paired row
+        self.rows = len(factors)
+        self.paired = [r for r, f in enumerate(factors) if len(f.gammas) == 2]
+        gammas = [f.gammas[0] for f in factors] \
+            + [factors[r].gammas[1] for r in self.paired]
+        self.gamma_rows = list(range(self.rows)) + self.paired
+        self.g = np.array([g for g, _ in gammas])[:, None]
+        self.c = np.array([c for _, c in gammas])[:, None]
+        kinds = {}
+        for r, f in enumerate(factors):
+            kinds.setdefault((len(f.num), len(f.den), f.argument), []).append(r)
+        column = lambda values: np.array(values)[:, None]
+        self.series = [(
+            rows,
+            [column(c) for c in zip(*(factors[r].num for r in rows))],
+            column([factors[r].shift for r in rows]),
+            column([factors[r].slope for r in rows]),
+            [column(c) for c in zip(*(factors[r].den for r in rows))],
+            argument) for (_, _, argument), rows in kinds.items()]
+        self.poch = [(r, *f.poch) for r, f in enumerate(factors) if f.poch[2]]
+
+    def __call__(self, z):
+        g = gamma_cx(self.g + self.c * z[self.gamma_rows])
+        pre = g[:self.rows]
+        pre[self.paired] *= g[self.rows:]
+        z = _at_zero_where(pre, z)
+        value = np.empty(z.shape, dtype=np.complex128)
+        for rows, num, shift, slope, den, argument in self.series:
+            value[rows] = _pfq_terminating(
+                (*num, shift + slope * z[rows]), den, argument)
+        for r, shift, slope, n in self.poch:
+            value[r] = value[r] * pochhammer(shift + slope * z[r], n)
+        return pre * value
+
+
+def _family_axis_factor(xj, j: int, k: MultiIndex, pp: ParsevalParams,
+                        form: str):
+    """Axis j (1-based) factor shared by both Parseval families: the
+    _axis_spec factor, or its 3F2 in continuous-Hahn form."""
+    spec = _axis_spec(j, k, pp)
     if form == "hyper":
-        return gg * _pfq_terminating(
-            (-kj, kj + 2.0 * (tail + abs_a + (d - j - 1) / 2.0),
-             base + 0.5 * xj),
-            (tail + abs_a + (d - j) / 2.0, tail + 2.0 * a1 + (d - j) / 2.0),
-            1.0)
-    alpha2 = a2 + tail / 2.0 + (d - j) / 4.0
+        return _factor_value(spec, xj)
+    gg, xj = _gamma_pair(spec, np.asarray(xj))
+    d = k.d
+    kj = k[j - 1]
+    tail = k.tail(j + 1)
+    alpha2 = pp.a2 + tail / 2.0 + (d - j) / 4.0
     pref = math.factorial(kj) * _I_POWERS[(-kj) % 4] / (
-        pochhammer(tail + 2.0 * a1 + (d - j) / 2.0, kj)
-        * pochhammer(tail + abs_a + (d - j) / 2.0, kj))
+        pochhammer(tail + 2.0 * pp.a1 + (d - j) / 2.0, kj)
+        * pochhammer(tail + pp.abs_a + (d - j) / 2.0, kj))
     return pref * gg * continuous_hahn(
-        kj, -0.5j * xj, base, alpha2, alpha2, base)
+        kj, -0.5j * xj, spec.shift, alpha2, alpha2, spec.shift)
 
 
 def _finite(compute, *args, **kwargs):
@@ -600,19 +724,12 @@ def _family_value(factors, t, x):
 
 def _a_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
     """The factors of a_family_factors, unguarded: a_family checks their
-    product, and the Parseval oracle takes them only where finite."""
+    product."""
     k = _as_multiindex(k)
     _check_k_n(k, n)
     _check_form(form)
-
-    def t_factor(t):
-        tt = np.asarray(t)
-        return _pfq_terminating(
-            (-int(n) + k.total, pp.b1 + k.total - tt),
-            (2 * k.total + pp.abs_b,),
-            2.0) * pochhammer(pp.b1 - tt, k.total)
-
-    return t_factor, _axis_factors(k, pp, form)
+    return (partial(_factor_value, _t_spec("a", k, n, pp)),
+            _axis_factors(k, pp, form))
 
 
 def _b_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
@@ -622,25 +739,54 @@ def _b_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
     _check_form(form)
     if not pp.has_c:
         raise DomainError("b_family requires ParsevalParams with the c pair")
+    spec = _t_spec("b", k, n, pp)
+    if form == "hyper":
+        return partial(_factor_value, spec), _axis_factors(k, pp, form)
     m = int(n) - k.total
+    pref = math.factorial(m) * _I_POWERS[(k.total - int(n)) % 4] / (
+        pochhammer(2 * k.total + pp.abs_b, m)
+        * pochhammer(k.total + pp.b1 + pp.c1, m))
+    shift, slope, kt = spec.poch
 
     def t_factor(t):
         tt = np.asarray(t)
-        if form == "hyper":
-            tpart = _pfq_terminating(
-                (-m, int(n) + k.total + pp.abs_b + pp.abs_c - 1.0,
-                 k.total + pp.b1 - 0.5 * tt),
-                (2 * k.total + pp.abs_b, k.total + pp.b1 + pp.c1),
-                1.0)
-        else:
-            pref = math.factorial(m) * _I_POWERS[(k.total - int(n)) % 4] / (
-                pochhammer(2 * k.total + pp.abs_b, m)
-                * pochhammer(k.total + pp.b1 + pp.c1, m))
-            tpart = pref * continuous_hahn(
-                m, 0.5j * tt, k.total + pp.b1, pp.c2, k.total + pp.b2, pp.c1)
-        return tpart * pochhammer(pp.b1 - 0.5 * tt, k.total)
+        return pref * continuous_hahn(
+            m, 0.5j * tt, k.total + pp.b1, pp.c2, k.total + pp.b2, pp.c1) \
+            * pochhammer(shift + slope * tt, kt)
 
     return t_factor, _axis_factors(k, pp, form)
+
+
+def _orthogonality_integrand(family: str, n: int, k: MultiIndex, m: int,
+                             l: MultiIndex, pp: ParsevalParams):
+    """The parseval_lhs integrand of the (n, k) x (m, l) orthogonality
+    integral of family "a" or "b",
+
+        int int w(t) Fam(it, ix; pp) Fam(-it, -ix; swapped pp) dt dx,
+
+    with the Gamma weight w = Gamma(b1 - it) Gamma(b2 + it) (family a) or
+    Gamma(b1 - it/2) Gamma(c1 + it/2) Gamma(b2 + it/2) Gamma(c2 - it/2)
+    (family b), split between the two t factors.  Row 0 holds the
+    weighted t factors, row j the axis-j factors; each row is
+    F(s) conj(G(s)), with F the (n, k) factor at is and G(s) the
+    conjugate of the swapped (m, l) factor at -is.  Every row is finite
+    on the whole line, an exact 0 where its Gamma products underflow."""
+    swapped = ParsevalParams(pp.a2, pp.a1, pp.b2, pp.b1, pp.c2, pp.c1)
+    factors = []
+    for kk, nn, p in ((k, n, pp), (l, m, swapped)):
+        weight = (((p.b1, -1.0),) if family == "a"
+                  else ((p.b1, -0.5), (p.c1, 0.5)))
+        factors.append(_t_spec(family, kk, nn, p)._replace(gammas=weight))
+        factors.extend(_axis_spec(j, kk, p) for j in range(1, kk.d + 1))
+    rows = _Rows(factors)
+    half = k.d + 1
+    sign = np.repeat([1j, -1j], half)[:, None]
+
+    def integrand(s):
+        value = rows(sign * s)
+        return value[:half] * value[half:]
+
+    return integrand
 
 
 def _guarded(factors):

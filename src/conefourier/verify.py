@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernel import DomainError, gamma_cx, pochhammer
+from .kernel import DomainError, pochhammer
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
                            _as_multiindex, _cube_to_ball, ball_norm, ball_op,
                            ball_weight, cone_inner_product_separated,
@@ -31,7 +31,7 @@ from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
 from .quadrature import (NonConvergenceError, QuadratureConfig, fourier_num,
                          integrate_1d, integrate_tensor, parseval_lhs)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
-                         TransformParamsLaguerre, _a_factors, _b_factors,
+                         TransformParamsLaguerre, _orthogonality_integrand,
                          a_norm_rhs, b_norm_rhs, f_d, f_d_via_g1, f_d_via_g2,
                          ft_f_closed, ft_g_jacobi_closed, ft_g_laguerre_closed,
                          g_jacobi, g_laguerre, theta_hahn, theta_hyper)
@@ -363,41 +363,14 @@ def _check_fd_recursion(params, cfg):
 # ----------------------------------------------------------------------
 # Parseval families.  The orthogonality integrand
 #     Gamma-weight(t) * Fam(it, ix; p1) * Fam(-it, -ix; p2-swapped)
-# is separable: the family factors split it into a t pair, which carries
-# the Gamma weights, and one pair per axis, fed to parseval_lhs as
-# F_j * conj(G_j) with conj(G_j) supplying the swapped factor
-# (Gamma(conj z) = conj Gamma(z) on the real axis makes the split exact).
+# is separable: transforms._orthogonality_integrand gives parseval_lhs
+# one row per factor pair, the t pair carrying the Gamma weights.
 # ----------------------------------------------------------------------
 
 def _parseval_params(params) -> ParsevalParams:
     ab = [float(params[key]) for key in ("a1", "a2", "b1", "b2")]
     cs = [params.get(key) for key in ("c1", "c2")]
     return ParsevalParams(*ab, *(None if c is None else float(c) for c in cs))
-
-
-def _parseval_pairs(family, n, k, m, l, pp):
-    """The t pair, then one pair per axis, of the (n, k) x (m, l)
-    orthogonality integral; every factor is finite on the whole line."""
-    swapped = ParsevalParams(pp.a2, pp.a1, pp.b2, pp.b1, pp.c2, pp.c1)
-    if family == "a":
-        factors = _a_factors
-        weight = lambda b, c, t: gamma_cx(b - 1j * t)
-    else:
-        factors = _b_factors
-        weight = lambda b, c, t: gamma_cx(b - 0.5j * t) * gamma_cx(c + 0.5j * t)
-    (t_f, axes_f), (t_g, axes_g) = factors(k, n, pp), factors(l, m, swapped)
-
-    def t_side(b, c, t_factor, t):
-        # where the Gamma weight is an exact 0 the t factor is taken at
-        # t = 0, so its polynomial growth never meets the underflow as inf*0
-        w = weight(b, c, t)
-        return w * t_factor(1j * np.where(w == 0.0, 0.0, t))
-
-    pairs = [(lambda t: t_side(pp.b1, pp.c1, t_f, t),
-              lambda t: np.conj(t_side(pp.b2, pp.c2, t_g, -t)))]
-    return pairs + [(lambda x, f=f: f(1j * x),
-                     lambda x, g=g: np.conj(g(-1j * x)))
-                    for f, g in zip(axes_f, axes_g)]
 
 
 def _check_parseval(family, params, cfg):
@@ -408,10 +381,8 @@ def _check_parseval(family, params, cfg):
         raise DomainError("parseval checks need multiindices of equal dimension")
     pp = _parseval_params(params)
     norm = a_norm_rhs if family == "a" else b_norm_rhs
-    pairs = _parseval_pairs(family, n, k, m, l, pp)
-    # keyword arguments: callers that wrap positional integrand arguments
-    # (bench/tracer.py) must not mistake the pair list for an integrand
-    res = parseval_lhs(pairs=pairs, cfg=cfg or _CFG_PARSEVAL)
+    res = parseval_lhs(_orthogonality_integrand(family, n, k, m, l, pp),
+                       cfg=cfg or _CFG_PARSEVAL)
     return _orth(res, lambda n, k: norm(n, k, pp), (n, k), (m, l))
 
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from conefourier import (DomainError, PoleError, beta_cx, gamma_cx,
                          log_gamma_cx, pochhammer)
-from conefourier.kernel import _LANCZOS_C, _lanczos_sum, _pfq_terminating
+from conefourier.kernel import (_LANCZOS_C, _LANCZOS_G, _SQRT_TWO_PI,
+                                _lanczos_sum, _pfq_terminating)
 
 
 # ---------------------------------------------------------------- gamma
@@ -121,6 +122,22 @@ def test_gamma_underflow_is_exact_zero_without_warning():
         got = gamma_cx(z)
     assert np.all(got[:3] == 0.0)
     assert got[3] == gamma_cx(0.8 + 1j)
+
+
+def test_gamma_exp_skip_keeps_every_value():
+    # right of Re z = 1/2 an exponent below -800 becomes a real -inf; exp
+    # gives the same exact 0 that the phase-carrying exponent gave
+    re = np.linspace(0.5, 12.0, 24)
+    im = np.concatenate([-np.logspace(np.log10(400.0), 300.0, 200),
+                         np.logspace(np.log10(400.0), 300.0, 200)])
+    z = (re[:, None] + 1j * im).ravel()
+    x = z - 1.0
+    t = x + _LANCZOS_G + 0.5
+    with np.errstate(all="ignore"):
+        want = _SQRT_TWO_PI * np.exp((x + 0.5) * np.log(t) - t) * _lanczos_sum(x)
+    got = gamma_cx(z)
+    assert np.all(got == want)
+    assert np.any(want != 0.0) and np.any(want == 0.0)
 
 
 @pytest.mark.parametrize("z", [-0.5 + 230j, 0.3 + 300j, 0.3 - 300j])
@@ -275,6 +292,21 @@ def test_terminating_denominator_pole_after_stop_is_fine():
     # series stops at 2 terms; the -3 denominator is never reached
     got = _pfq_terminating((-1, 2), (-3,), 1.0)
     assert got == pytest.approx(1 + 2.0 / 3.0, rel=1e-14)
+
+
+def test_terminating_degree_column_matches_rows():
+    # one call with a column of degrees gives each row's own series, bit
+    # for bit: a lower-degree row ends on its exact-0 factor
+    degrees = np.array([[0], [-1], [-3], [-2]])
+    b = np.array([[1.5], [0.7], [2.25], [0.4]])
+    x = np.array([0.3 + 0.2j, -1.1 + 4.0j, 2.5 - 0.5j])
+    got = _pfq_terminating((degrees, b, 0.8 + 0.5j * x), (np.array([[1.2]]), 2.6), 1.0)
+    for r in range(4):
+        want = _pfq_terminating((int(degrees[r, 0]), float(b[r, 0]), 0.8 + 0.5j * x),
+                                (1.2, 2.6), 1.0)
+        assert np.array_equal(got[r], want)
+    with pytest.raises(DomainError):
+        _pfq_terminating((np.array([[-1], [2]]), 1.0), (2.0,), 1.0)
 
 
 @given(st.integers(min_value=0, max_value=6),

@@ -295,14 +295,18 @@ def test_parseval_classical_pair():
         e = np.exp(-0.5 * math.pi * np.abs(xi))
         return 2.0 * math.pi * e / (1.0 + e * e)
 
-    res = parseval_lhs([(F, F)])
+    def rows(count):
+        return lambda s: np.tile(F(s) * np.conj(F(s)), (count, 1))
+
+    res = parseval_lhs(rows(1))
     # Parseval for sech: (2 pi) * int sech^2 = 4 pi
     assert res.value == pytest.approx(4.0 * math.pi, rel=1e-10)
-    # any number of factors multiplies (a d = 4 family has five)
-    res5 = parseval_lhs([(F, F)] * 5)
+    # any number of rows multiplies (a d = 4 family has five)
+    res5 = parseval_lhs(rows(5))
     assert res5.value == pytest.approx((4.0 * math.pi) ** 5, rel=1e-9)
+    assert res5.evaluations == 5 * res.evaluations
     with pytest.raises(DomainError):
-        parseval_lhs([])
+        parseval_lhs(rows(0))
 
 
 def test_parseval_vanishing_factor_error_covers_zero():
@@ -313,13 +317,37 @@ def test_parseval_vanishing_factor_error_covers_zero():
     half = lambda x: np.exp(-0.5 * np.abs(x) * np.minimum(np.abs(x), 1e3))
     gauss = lambda x: half(x) ** 2
     cfg = QuadratureConfig()
-    res = parseval_lhs([(gauss, gauss),
-                        (lambda x: (x * half(x)) ** 2 - 0.25 * gauss(x),
-                         gauss)], cfg)
+    res = parseval_lhs(lambda x: np.stack([
+        gauss(x) * gauss(x), ((x * half(x)) ** 2 - 0.25 * gauss(x)) * gauss(x)]),
+        cfg)
     assert res.value != 0.0
     assert res.converged
     assert res.error_estimate >= abs(res.value)
     assert res.error_estimate <= cfg.abs_tol
+
+
+def test_parseval_names_first_row_that_misses():
+    # rows 1 and 3 jump at s = 0.3, which the ladder cannot resolve in
+    # six levels; rows 0 and 2 converge
+    gauss = lambda s: np.exp(-np.abs(s) * np.minimum(np.abs(s), 1e3))
+    jump = lambda s: np.where(s < 0.3, 1.0, -1.0) * gauss(s)
+    cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8, max_levels=6)
+    with pytest.raises(NonConvergenceError, match="row 1 did not") as err:
+        parseval_lhs(lambda s: np.stack([gauss(s), jump(s), gauss(s), jump(s)]),
+                     cfg)
+    res = err.value.result
+    assert not res.converged
+    assert res.evaluations > 0
+    assert res.error_estimate > cfg.abs_tol
+
+
+def test_de_roundoff_floor_follows_the_absolute_integral():
+    # an odd integrand cancels to 0 while the sum of |f w| does not: the
+    # estimate keeps ~4 eps of the integral of |f| (1 here)
+    res = integrate_1d(lambda x: x * np.exp(-np.abs(x) * np.minimum(np.abs(x), 1e3)),
+                       (-math.inf, math.inf))
+    assert abs(res.value) < 1e-16
+    assert res.error_estimate >= 0.99 * 4.0 * 2.2e-16
 
 
 def test_oracle_is_transform_independent():

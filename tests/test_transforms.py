@@ -6,6 +6,7 @@ import math
 import warnings
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -415,6 +416,19 @@ def test_ab_families_zero_where_gamma_pair_underflows():
             assert got[0] == 0.0
             want = fam(0.0, (0.3j,), (2,), 2, pp, form=form)
             assert abs(got[1] - want) < 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("x", [345.0, 700.0, -700.0])
+def test_axis_gamma_pair_far_on_the_real_axis_vs_mpmath(x):
+    # Gamma(0.8 - x/2) underflows as Gamma(0.8 + x/2) overflows past
+    # |x| ~ 342; the reflected pair keeps the finite product
+    pp = ParsevalParams(0.8, 0.6, 0.9, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = a_family(0.3j, (x,), (0,), 0, pp)
+    want = complex(mpmath.gamma(mpmath.mpf(0.8) - x / 2)
+                   * mpmath.gamma(mpmath.mpf(0.8) + x / 2))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_ab_families_raise_where_the_product_overflows():

@@ -7,11 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
+import conefourier.quadrature as quadrature
+import conefourier.transforms as transforms
 import conefourier.verify as verify
-from conefourier import (DomainError, MultiIndex, ParsevalParams,
-                         QuadratureConfig, a_family, b_family, check_identity,
-                         default_grids, gamma_cx, integrate_1d,
-                         integrate_tensor, run_suite)
+from conefourier import (DomainError, MultiIndex, NonConvergenceError,
+                         ParsevalParams, QuadratureConfig, a_family,
+                         a_family_factors, b_family, b_family_factors,
+                         check_identity, default_grids, gamma_cx,
+                         integrate_1d, integrate_tensor, run_suite)
+from conefourier.transforms import _orthogonality_integrand
+
+_PP_ARGS = {"a1": 0.8, "a2": 0.6, "b1": 0.9, "b2": 0.7, "c1": 1.1, "c2": 0.5}
 
 CATALOG = {
     "gegenbauer-orth", "laguerre-orth", "jacobi-orth", "ball-orth",
@@ -164,40 +170,139 @@ def test_parseval_factorization_matches_tensor(family):
 
 
 _D1_STATES = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+_PP = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
+_LINE = (-math.inf, math.inf)
 
 
-def test_parseval_factor_estimates_cover_true_error():
-    # every factor integral of the d = 1 grid, at the checks' tolerances,
-    # against a 1e-15 run of the same factor: no error estimate falls
-    # below the true error
-    pp = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
-    line = (-math.inf, math.inf)
-    tight = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
-    under = []
+def _d1_integrands():
     for family in "ab":
         for (n, k), (m, l) in itertools.combinations_with_replacement(
                 _D1_STATES, 2):
-            pairs = verify._parseval_pairs(family, n, MultiIndex([k]), m,
-                                           MultiIndex([l]), pp)
-            for axis, (F, G) in enumerate(pairs):
-                h = lambda s: F(s) * np.conj(G(s))
-                res = integrate_1d(h, line, verify._CFG_PARSEVAL)
-                ref = integrate_1d(h, line, tight)
-                if abs(res.value - ref.value) > res.error_estimate:
-                    under.append((family, n, k, m, l, axis))
+            yield (family, n, k, m, l), _orthogonality_integrand(
+                family, n, MultiIndex([k]), m, MultiIndex([l]), _PP)
+
+
+def test_parseval_factor_estimates_cover_true_error():
+    # every row of every shared ladder of the d = 1 grid, at the checks'
+    # tolerances, against a 1e-15 run of the same ladder: no error
+    # estimate falls below the true error.  A row that cancels to 0 cannot
+    # meet 1e-15 above its roundoff floor; the failed run still carries
+    # the deepest values as its result.
+    tight = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
+    under = []
+    for case, f in _d1_integrands():
+        res = integrate_1d(f, _LINE, verify._CFG_PARSEVAL)
+        try:
+            ref = integrate_1d(f, _LINE, tight)
+        except NonConvergenceError as exc:
+            ref = exc.result
+        for row in np.flatnonzero(np.abs(res.value - ref.value)
+                                  > res.error_estimate):
+            under.append((*case, int(row)))
     assert under == []
+
+
+def _public_rows(family, n, k, m, l, s):
+    """The rows of the orthogonality integrand from the public factor
+    callables and gamma_cx, one factor at a time."""
+    swapped = ParsevalParams(_PP.a2, _PP.a1, _PP.b2, _PP.b1, _PP.c2, _PP.c1)
+    factors = a_family_factors if family == "a" else b_family_factors
+    (tf, axes_f), (tg, axes_g) = factors(k, n, _PP), factors(l, m, swapped)
+    if family == "a":
+        weight = lambda p, t: gamma_cx(p.b1 - 1j * t)
+    else:
+        weight = lambda p, t: gamma_cx(p.b1 - 0.5j * t) * gamma_cx(p.c1 + 0.5j * t)
+    rows = [weight(_PP, s) * tf(1j * s) * weight(swapped, -s) * tg(-1j * s)]
+    return np.array(rows + [f(1j * s) * g(-1j * s)
+                            for f, g in zip(axes_f, axes_g)])
+
+
+@pytest.mark.parametrize("family", ["a", "b"])
+@pytest.mark.parametrize("n,k,m,l", [
+    (2, (1,), 2, (2,)), (2, (1, 1), 3, (0, 2)), (3, (1, 0, 1), 3, (1, 1, 1))])
+def test_orthogonality_rows_match_public_factors(family, n, k, m, l):
+    # moderate s only: past it the public t factors' polynomials overflow
+    # where the stacked rows take them at 0 beside an underflowed weight
+    s = np.linspace(-30.0, 30.0, 121)
+    got = _orthogonality_integrand(family, n, MultiIndex(k), m,
+                                   MultiIndex(l), _PP)(s)
+    want = _public_rows(family, n, k, m, l, s)
+    assert got.shape == want.shape == (len(k) + 1, s.size)
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("family", ["a", "b"])
 def test_parseval_pairs_vanish_at_far_nodes(family):
-    # the sinh-sinh rule samples out to |s| ~ 1e299: every factor there
-    # is an exact 0, with no overflow or inf * 0 on the way
-    pp = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
-    pairs = verify._parseval_pairs(family, 2, MultiIndex([1, 1]), 2,
-                                   MultiIndex([2, 0]), pp)
+    # the sinh-sinh rule samples out to |s| ~ 1e299: every row there is
+    # an exact 0, with no overflow or inf * 0 on the way
+    f = _orthogonality_integrand(family, 2, MultiIndex([1, 1]), 2,
+                                 MultiIndex([2, 0]), _PP)
     far = np.array([-1e300, 1e300])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for F, G in pairs:
-            assert np.all(F(far) == 0.0)
-            assert np.all(G(far) == 0.0)
+        assert np.all(f(far) == 0.0)
+
+
+def test_parseval_check_makes_one_gamma_call_per_ladder_call(monkeypatch):
+    # the t weights and every axis pair of both sides share one gamma_cx
+    # call, and each series kind one _pfq_terminating call, per integrand
+    # call (family a: the argument-2 2F1 and the axis 3F2s; family b: its
+    # t 3F2 is of the axes' kind); one call takes the DE levels 0-3, each
+    # later call one level
+    counts = {"integrand": 0, "gamma": 0, "series": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(transforms, "gamma_cx",
+                        counting("gamma", transforms.gamma_cx))
+    monkeypatch.setattr(transforms, "_pfq_terminating",
+                        counting("series", transforms._pfq_terminating))
+    lhs = verify.parseval_lhs
+    monkeypatch.setattr(verify, "parseval_lhs", lambda f, cfg: lhs(
+        counting("integrand", f), cfg=cfg))
+    for family in "ab":
+        params = {"n": 2, "k": (1,), "m": 2, "l": (1,), **_PP_ARGS}
+        before = dict(counts)
+        report = check_identity(f"parseval-{family}", params)
+        assert report.passed
+        calls = counts["integrand"] - before["integrand"]
+        assert calls >= 1
+        assert counts["gamma"] - before["gamma"] == calls
+        kinds = 2 if family == "a" else 1
+        assert counts["series"] - before["series"] == kinds * calls
+        # 2 rows on levels 0..(calls + 2): 217 nodes through level 4
+        assert report.evals == 2 * _ladder_nodes(calls + 2)
+
+
+def _ladder_nodes(level):
+    return sum(quadrature._sinh_sinh_table(j)[0].size for j in range(level + 1))
+
+
+def test_parseval_oracle_never_reflects_a_gamma_pair(monkeypatch):
+    # the oracle works on the imaginary axis, where every Gamma product is
+    # finite, so its stacked rows carry no reflection of the pair: on
+    # every node of the first nine levels, the rows are finite and the
+    # axis factors of the d = 1 and d = 3 states never reflect
+    def refuse(*args):
+        raise AssertionError("reflected Gamma pair on the Parseval axis")
+
+    monkeypatch.setattr(transforms, "_reflected_pair", refuse)
+    nodes = np.concatenate([quadrature._sinh_sinh_table(j)[0]
+                            for j in range(9)])
+    for _, f in _d1_integrands():
+        assert np.isfinite(f(nodes)).all()
+    k3 = MultiIndex([1, 0, 1])
+    for family, factors in (("a", a_family_factors), ("b", b_family_factors)):
+        f = _orthogonality_integrand(family, 3, k3, 3, MultiIndex([1, 1, 1]),
+                                     _PP)
+        assert np.isfinite(f(nodes)).all()
+        for k, n in (((2,), 2), (k3, 3)):
+            for axis in factors(k, n, _PP)[1]:
+                axis(1j * nodes)
+    result = run_suite(["parseval-a", "parseval-b"])
+    assert all(r.passed for r in result)
