@@ -78,8 +78,8 @@ _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 def _nonpositive_int(value) -> int | None:
     """Round ``value`` to a nonpositive integer if it is within
-    INTEGRALITY_TOL of one, else return None.  Array inputs return None
-    (only scalar parameters can carry termination/pole semantics)."""
+    INTEGRALITY_TOL of one, else return None.  Array inputs return None:
+    a termination degree is a scalar or an integer array."""
     if isinstance(value, np.ndarray) and value.ndim > 0:
         return None
     z = complex(value)
@@ -312,15 +312,14 @@ def _pfq_terminating(numerator, denominator, argument):
         raise DomainError(
             "terminating pFq: no numerator parameter is a nonpositive integer")
     n_terms = min(stops)  # series stops at the first vanishing factor
-    for b in denominator:
-        m = _nonpositive_int(b)
-        if m is not None and -m < n_terms:
+    for b in denominator:  # each row of a column reaches b + j = 0 at j = -b
+        if any(m is not None and -m < n_terms
+               for m in map(_nonpositive_int, np.ravel(b))):
             raise PoleError(
                 f"terminating pFq: denominator parameter {b} hits a "
                 f"nonpositive integer before the series terminates")
     dtype = _series_dtype(list(numerator) + list(denominator) + [argument])
-    shape = np.broadcast_shapes(*[np.shape(v) for v in
-                                  (*numerator, *denominator, argument)])
+    shape = np.broadcast(*numerator, *denominator, argument).shape
     term = np.ones(shape, dtype=dtype)
     total = term.copy()
     x = np.asarray(argument, dtype=dtype)

@@ -1,8 +1,12 @@
 """Tanh-substituted ball and cone function families, their closed-form
-Fourier transforms (Beta/Gamma prefactors times terminating
-hypergeometric factors, equivalently continuous-Hahn polynomials), and
-the two Parseval-derived orthogonal function families with their
-closed-form norm constants.
+Fourier transforms, and the two Parseval-derived orthogonal function
+families with their closed-form norm constants.
+
+Every transform and family is a product of rows of one factor table
+(_Factor): a Gamma product, a Beta being a Gamma pair over Gamma(2 base),
+times a terminating 3F2 or 2F1 (or a continuous-Hahn polynomial).  _Rows
+evaluates rows with one gamma_cx call, taking a Gamma product that
+overflows in log space, or by reflection far out on the real axis.
 
 Conventions
 -----------
@@ -21,8 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import (Cx, DomainError, _pfq_terminating, _signed_log_pochhammer,
-                     beta_cx, gamma_cx, log_gamma_cx, pochhammer)
+from .kernel import (INTEGRALITY_TOL, Cx, DomainError, PoleError,
+                     _pfq_terminating, _signed_log_pochhammer, gamma_cx,
+                     log_gamma_cx, pochhammer)
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
                            _as_multiindex, ball_norm, ball_op)
 from .univariate import _I_POWERS, continuous_hahn, gegenbauer, jacobi, laguerre
@@ -373,102 +378,281 @@ def g_jacobi(t, x, k, n, params: TransformParamsJacobi):
 
 
 # ----------------------------------------------------------------------
-# Closed-form Fourier transforms
+# The factor table: every closed form is a product of _Factor rows
 # ----------------------------------------------------------------------
 
-def _theta_beta_args(j: int, d: int, a, k: MultiIndex, xi_j):
+class _Factor(NamedTuple):
+    """One hyper-form factor, a function of its one variable z:
+
+        prod_i Gamma(g_i + c_i z) / Gamma(den_gamma)
+            * pFq(*num, shift + slope z; *den; argument)
+            * (poch_shift + poch_slope z)_poch_n
+
+    gammas holds 0-2 pairs (g_i, c_i) and den_gamma a constant or None;
+    num[0] is minus the series' degree, an int."""
+    gammas: tuple
+    num: tuple
+    shift: float
+    slope: float
+    den: tuple
+    argument: float
+    poch: tuple = (0.0, 0.0, 0)
+    den_gamma: float | None = None
+
+
+def _axis_spec(j: int, k: MultiIndex, a, mu) -> _Factor:
+    """Axis j (1-based) factor of the ball transform with parameters
+    (a, mu), and of both Parseval families at (a1, |a| - 1/2): the Gamma
+    pair Gamma(base - z/2) Gamma(base + z/2) times a terminating 3F2."""
+    d = k.d
+    kj = k[j - 1]
     tail = k.tail(j + 1)
     base = a + tail / 2.0 + (d - j) / 4.0
-    return base + 0.5j * xi_j, base - 0.5j * xi_j
+    return _Factor(((base, -0.5), (base, 0.5)),
+                   (-kj, kj + 2.0 * (tail + mu + (d - j) / 2.0)), base, 0.5,
+                   (tail + mu + (d - j + 1) / 2.0,
+                    tail + 2.0 * a + (d - j) / 2.0), 1.0)
 
 
-def _check_j(j: int, k: MultiIndex, d: int) -> None:
+def _theta_spec(j: int, d: int, a, mu, k: MultiIndex) -> _Factor:
+    """theta_j as a function of z = i xi_j: the axis factor over
+    Gamma(2 base), which makes its Gamma pair a Beta."""
     if k.d != d:
         raise DomainError(f"multiindex has d={k.d}, expected {d}")
     if not 1 <= j <= d:
         raise DomainError(f"axis index j={j} outside 1..{d}")
+    spec = _axis_spec(j, k, a, mu)
+    return spec._replace(den_gamma=2.0 * spec.shift)
 
 
-def _at_zero_where(prefactor, x):
-    """x, taken at 0 where the prefactor has underflowed to an exact 0, so
-    that the growth of a terminating series in x never meets it as inf * 0
-    (the product is 0 there either way)."""
-    dead = prefactor == 0.0
-    if np.ndim(dead):
-        return np.where(dead, 0.0, x)
-    return 0.0 if dead else x
+def _t_spec(k: MultiIndex, n: int, b, den, c=None, top=None) -> _Factor:
+    """The t factor of a cone transform (z = i xi_t) or of a Parseval
+    family (z = t), m = n - |k|: the Laguerre cone's 2F1(-m, b + |k| - z;
+    den; 2), or, given c and top, the Jacobi cone's 3F2(-m, top,
+    b + |k| - z/2; den, b + |k| + c; 1); den and top differ for d > 1."""
+    kt = k.total
+    m = int(n) - kt
+    if c is None:
+        return _Factor((), (-m,), b + kt, -1.0, (den,), 2.0)
+    return _Factor((), (-m, top), kt + b, -0.5, (den, kt + b + c), 1.0)
 
+
+# B_2k / (2k (2k - 1)), k = 1..7: Stirling's series of log Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156)
+
+
+def _reflected_pair(alpha, y):
+    """log Gamma(alpha - y) Gamma(alpha + y) for Re y >= 0 and
+    Re(alpha - y) < 1/2, the first Gamma reflected: log pi + L - log
+    sin(pi (alpha - y)), L = log Gamma(y + alpha) - log Gamma(y + 1 - alpha).
+    The sine takes Re y mod 2 exactly; for |y| >= 10 (1 + |alpha|), L is
+    the difference of two Stirling series with u = y + 1/2, h = alpha - 1/2,
+    (2u - 1) atanh(h/u) + h log((u + h)(u - h)) - 2h + ..., free of the
+    eps |y log y| that two log Gammas would lose far out on the real axis."""
+    log = np.empty(y.shape, dtype=np.complex128)
+    far = np.abs(y) >= 10.0 * (1.0 + abs(alpha))
+    near = y[~far]
+    log[~far] = log_gamma_cx(near + alpha) - log_gamma_cx(near + 1.0 - alpha)
+    u, h = y[far] + 0.5, alpha - 0.5
+    log[far] = (2.0 * u - 1.0) * np.arctanh(h / u) - 2.0 * h \
+        + h * (np.log(u + h) + np.log(u - h)) + sum(
+            c * ((u + h) ** (1 - 2 * k) - (u - h) ** (1 - 2 * k))
+            for k, c in enumerate(_STIRLING, 1))
+    left = alpha - (np.fmod(y.real, 2.0) + 1j * y.imag)  # alpha - y mod 2
+    if np.any((np.abs(left.imag) < INTEGRALITY_TOL)
+              & (np.abs(left.real - np.round(left.real)) < INTEGRALITY_TOL)):
+        raise PoleError(f"Gamma pair at a pole: alpha={alpha}")
+    return math.log(math.pi) + log - np.log(np.sin(np.pi * left))
+
+
+def _gamma_product_by_logs(spec: _Factor, z):
+    """The Gamma product of spec at the points z (1-d) from log Gammas, for
+    where its direct product is not finite: at large parameters, or far
+    out on the real axis, where one Gamma of the symmetric axis pair
+    overflows as the other underflows; that pair is reflected there."""
+    log = np.zeros(z.shape, dtype=np.complex128)
+    plain = np.ones(z.shape, dtype=bool)
+    (g, c), *rest = spec.gammas
+    if rest and rest[0] == (g, -c):
+        y = abs(c) * z
+        y = np.where(y.real < 0.0, -y, y)
+        plain = (g - y).real >= 0.5
+        log[~plain] = _reflected_pair(g, y[~plain])
+    log[plain] = log_gamma_cx(
+        np.stack([g + c * z[plain] for g, c in spec.gammas])).sum(axis=0)
+    if spec.den_gamma is not None:
+        log -= log_gamma_cx(spec.den_gamma)
+    return np.exp(log)
+
+
+class _Rows:
+    """The one evaluator of _Factor rows, row r at z[r] for z of shape
+    (rows, points): one gamma_cx call takes every Gamma of every row, and
+    one _pfq_terminating call the rows of each series kind (parameter
+    counts and argument); _gamma_product_by_logs takes what overflows."""
+
+    def __init__(self, factors):
+        self.factors = factors
+        # Gamma slots: row r's numerator Gammas at r and rows + r, its
+        # denominator Gamma (slope 0) at 2 rows + r; the other slots hold 1
+        n = len(factors)
+        slots = sorted([(i * n + r, gc) for r, f in enumerate(factors)
+                        for i, gc in enumerate(f.gammas)]
+                       + [(2 * n + r, (f.den_gamma, 0.0))
+                          for r, f in enumerate(factors)
+                          if f.den_gamma is not None])
+        self.slots = [slot for slot, _ in slots]
+        self.at = [slot % n for slot in self.slots]
+        gc = np.array([gc for _, gc in slots]).reshape(-1, 2)
+        self.g, self.c = gc[:, :1], gc[:, 1:]
+        kinds = {}
+        for r, f in enumerate(factors):
+            kinds.setdefault((len(f.num), len(f.den), f.argument), []).append(r)
+        self.series = []
+        for (p, _, argument), rows in kinds.items():
+            # columns: the degrees, then the other numerators, the shift,
+            # the slope and the denominators as views of one table
+            table = np.array([(*f.num[1:], f.shift, f.slope, *f.den)
+                              for f in (factors[r] for r in rows)])
+            cols = [np.array([factors[r].num[0] for r in rows])[:, None],
+                    *(table[:, i:i + 1] for i in range(table.shape[1]))]
+            if rows == list(range(rows[0], rows[-1] + 1)):
+                rows = slice(rows[0], rows[-1] + 1)
+            self.series.append((rows, cols[:p], cols[p], cols[p + 1],
+                                cols[p + 2:], argument))
+        self.poch = [(r, *f.poch) for r, f in enumerate(factors) if f.poch[2]]
+
+    def prefactor(self, z):
+        """(the rows' Gamma products at z, z taken at 0 where a product is
+        an exact 0)."""
+        n = len(self.factors)
+        gam = np.ones((3 * n, z.shape[1]), dtype=np.complex128)
+        try:
+            if self.slots:
+                gam[self.slots] = gamma_cx(self.g + self.c * z[self.at])
+        except PoleError:  # perhaps a pole only of a rounded argument
+            gam[self.slots] = np.nan
+        pre = gam[:n] * gam[n:2 * n]
+        if self.slots and self.slots[-1] >= 2 * n:  # denominator Gammas
+            pre /= gam[2 * n:]
+        if not (np.isfinite(pre).all() and np.isfinite(gam[2 * n:]).all()):
+            bad = ~np.isfinite(pre) | ~np.isfinite(gam[2 * n:])
+            for r in np.flatnonzero(bad.any(axis=1)):
+                with np.errstate(all="ignore"):
+                    pre[r, bad[r]] = _gamma_product_by_logs(
+                        self.factors[r], z[r, bad[r]])
+        # z at 0 where its product has underflowed to an exact 0, so that
+        # the growth of a terminating series in z never meets it as inf * 0
+        return pre, np.where(pre == 0.0, 0.0, z)
+
+    def __call__(self, z):
+        pre, z = self.prefactor(z)
+        value = np.empty(z.shape, dtype=np.complex128)
+        for rows, num, shift, slope, den, argument in self.series:
+            value[rows] = _pfq_terminating(
+                (*num, shift + slope * z[rows]), den, argument)
+        for r, shift, slope, n in self.poch:
+            value[r] = value[r] * pochhammer(shift + slope * z[r], n)
+        return pre * value
+
+
+def _product(factors, *zs):
+    """The product of the factors, factor r at zs[r], for zs that
+    broadcast together: one _Rows call.  Scalars give a 0-d array."""
+    shape = np.broadcast(*zs).shape
+    z = np.empty((len(zs), *shape), dtype=np.complex128)
+    for r, zr in enumerate(zs):
+        z[r] = zr
+    values = _Rows(factors)(z.reshape(len(zs), -1))
+    value = values[0]
+    for row in values[1:]:
+        value = value * row
+    return value.reshape(shape)
+
+
+def _hahn_value(spec: _Factor, b, z):
+    """spec at z, its 3F2 at 1 written as the continuous-Hahn polynomial
+    p_m(x; a, b, c, d) of Koekoek-Lesky-Swarttouw 9.4.1, a + ix = shift +
+    slope z, (a + c, a + d) the denominators and b given: theta-dual's
+    second evaluation."""
+    pre, zz = _Rows([spec]).prefactor(np.reshape(z, (1, -1)))
+    m = -spec.num[0]
+    a = spec.shift
+    e, f = spec.den
+    pref = math.factorial(m) * _I_POWERS[(-m) % 4] / (
+        pochhammer(e, m) * pochhammer(f, m))
+    value = pref * pre[0] * continuous_hahn(
+        m, -1j * spec.slope * zz[0], a, b, e - a, f - a)
+    shift, slope, n = spec.poch
+    return (value * pochhammer(shift + slope * zz[0], n)).reshape(np.shape(z))
+
+
+def _finite(compute, *args):
+    """compute(*args); DomainError where its value is not finite, as where
+    a t factor's polynomial overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute(*args)
+    if not np.isfinite(value).all():
+        raise DomainError("value is not finite at this argument")
+    return value
+
+
+# ----------------------------------------------------------------------
+# Closed-form Fourier transforms
+# ----------------------------------------------------------------------
 
 def theta_hyper(j: int, d: int, a, mu, k, xi_j) -> Cx:
     """Axis-j Beta-times-3F2 factor of the ball transform."""
-    k = _as_multiindex(k)
-    _check_j(j, k, d)
-    tail = k.tail(j + 1)
-    bb = beta_cx(*_theta_beta_args(j, d, a, k, xi_j))
-    arg_p, _ = _theta_beta_args(j, d, a, k, _at_zero_where(bb, xi_j))
-    kj = k[j - 1]
-    f32 = _pfq_terminating(
-        (-kj, kj + 2.0 * (tail + mu + (d - j) / 2.0), arg_p),
-        (tail + mu + (d - j + 1) / 2.0, tail + 2.0 * a + (d - j) / 2.0),
-        1.0)
-    return bb * f32
+    spec = _theta_spec(j, d, a, mu, _as_multiindex(k))
+    return _cx_or_array(_finite(_product, [spec], 1j * np.asarray(xi_j)))
 
 
 def theta_hahn(j: int, d: int, a, mu, k, xi_j) -> Cx:
     """Axis-j factor in continuous-Hahn form; identical in value to
     theta_hyper."""
-    k = _as_multiindex(k)
-    _check_j(j, k, d)
-    tail = k.tail(j + 1)
-    bb = beta_cx(*_theta_beta_args(j, d, a, k, xi_j))
-    kj = k[j - 1]
-    alpha = a + tail / 2.0 + (d - j) / 4.0
-    beta = mu - a + (tail + 1) / 2.0 + (d - j) / 4.0
-    pref = math.factorial(kj) * _I_POWERS[(-kj) % 4] / (
-        pochhammer(tail + mu + (d - j + 1) / 2.0, kj)
-        * pochhammer(tail + 2.0 * a + (d - j) / 2.0, kj))
-    return pref * bb * continuous_hahn(
-        kj, 0.5 * np.asarray(_at_zero_where(bb, xi_j)), alpha, beta, beta,
-        alpha)
+    spec = _theta_spec(j, d, a, mu, _as_multiindex(k))
+    return _cx_or_array(_finite(_hahn_value, spec, spec.den[0] - spec.shift,
+                                1j * np.asarray(xi_j)))
 
 
 def lambda_factor(n: int, k, b, mu, beta, xi) -> Cx:
     """Terminating 2F1 at argument 2 carried by the half-line cone axis."""
     k = _as_multiindex(k)
     _check_k_n(k, n)
-    return _pfq_terminating(
-        (-int(n) + k.total, b + k.total - 1j * xi),
-        (2 * k.total + 2.0 * mu + beta + k.d,),
-        2.0)
+    spec = _t_spec(k, n, b, 2 * k.total + 2.0 * mu + beta + k.d)
+    return _cx_or_array(_product([spec], 1j * np.asarray(xi)))
 
 
 def xi_factor(n: int, k, b, c, mu, beta, gamma, xi) -> Cx:
     """Terminating 3F2 at 1 carried by the bounded cone axis."""
     k = _as_multiindex(k)
     _check_k_n(k, n)
-    return _pfq_terminating(
-        (-int(n) + k.total, int(n) + k.total + 2.0 * mu + beta + gamma + k.d,
-         k.total + b - 0.5j * xi),
-        (2 * k.total + 2.0 * mu + beta + k.d, k.total + b + c),
-        1.0)
+    spec = _t_spec(k, n, b, 2 * k.total + 2.0 * mu + beta + k.d, c,
+                   int(n) + k.total + 2.0 * mu + beta + gamma + k.d)
+    return _cx_or_array(_product([spec], 1j * np.asarray(xi)))
 
 
-def _ball_transform_core(k: MultiIndex, a, mu, xi: tuple) -> Cx:
+def _closed_value(k: MultiIndex, a, mu, xi, t=None, power=0.0,
+                  const=1.0) -> Cx:
+    """2^power const times the ball transform at xi (its powers of 2,
+    Pochhammer constants and theta rows at z_j = i xi_j), with the cone's
+    t row t at z = i xi_t if given: one _Rows call checked by _finite."""
     d = k.d
-    for j in range(1, d + 1):
-        if not a + k.tail(j + 1) / 2.0 + (d - j) / 4.0 > 0.0:
-            raise DomainError(
-                f"Beta argument a + |k^(j+1)|/2 + (d-j)/4 must be positive "
-                f"at j={j}")
-    exponent = 2.0 * d * a + d * (d - 5) / 4.0 \
+    power = power + 2.0 * d * a + d * (d - 5) / 4.0 \
         + sum(j * k[j] for j in range(1, d))
-    value = 2.0 ** exponent
+    rows = []
     for j in range(1, d + 1):
+        rows.append(_theta_spec(j, d, a, mu, k))
+        if not rows[-1].shift > 0.0:
+            raise DomainError(f"Beta argument a + |k^(j+1)|/2 + (d-j)/4 "
+                              f"must be positive at j={j}")
         kj = k[j - 1]
-        tail = k.tail(j + 1)
-        value = value * pochhammer(2.0 * (tail + mu + (d - j) / 2.0), kj) \
-            / math.factorial(kj) * theta_hyper(j, d, a, mu, k, xi[j - 1])
-    return value
+        const = const * pochhammer(
+            2.0 * (k.tail(j + 1) + mu + (d - j) / 2.0), kj) / math.factorial(kj)
+    rows += [] if t is None else [t]
+    return _cx_or_array(_finite(lambda: np.exp(power * _LOG2) * const
+                                * _product(rows, *(1j * v for v in xi))))
 
 
 def ft_f_closed(k, a, mu, xi) -> Cx:
@@ -479,8 +663,7 @@ def ft_f_closed(k, a, mu, xi) -> Cx:
     be real scalars or float arrays that broadcast together, as x in f_d.
     Array components give an array of values, scalar ones a complex."""
     k = _as_multiindex(k)
-    fv = _as_freq(xi, k.d)
-    return _cx_or_array(_ball_transform_core(k, a, mu, fv))
+    return _closed_value(k, a, mu, _as_freq(xi, k.d))
 
 
 def ft_g_laguerre_closed(k, n: int, params: TransformParamsLaguerre, xi) -> Cx:
@@ -489,19 +672,15 @@ def ft_g_laguerre_closed(k, n: int, params: TransformParamsLaguerre, xi) -> Cx:
     d + 1 components, scalars or float arrays as in ft_f_closed."""
     k = _as_multiindex(k)
     _check_k_n(k, n)
-    d = k.d
-    fv = _as_freq(xi, d + 1)
-    xit = fv[d]
-    b, mu, beta = params.b, params.mu, params.beta
+    fv = _as_freq(xi, k.d + 1)
+    b, mu = params.b, params.mu
     if not (np.real(b) + k.total > 0.0):
         raise DomainError("need Re b + |k| > 0 for the Gamma factor")
-    ball = _ball_transform_core(k, params.a, mu, fv)
-    zpow = np.exp((b + k.total - 1j * xit) * _LOG2)
+    den = 2 * k.total + 2.0 * mu + params.beta + k.d
     m = int(n) - k.total
-    pref = pochhammer(2 * k.total + 2.0 * mu + beta + d, m) / math.factorial(m)
-    gam = gamma_cx(b + k.total - 1j * xit)
-    return _cx_or_array(zpow * pref * gam * ball * lambda_factor(
-        n, k, b, mu, beta, _at_zero_where(gam, xit)))
+    t = _t_spec(k, n, b, den)._replace(gammas=((b + k.total, -1.0),))
+    return _closed_value(k, params.a, mu, fv, t, b + k.total - 1j * fv[k.d],
+                         pochhammer(den, m) / math.factorial(m))
 
 
 def ft_g_jacobi_closed(k, n: int, params: TransformParamsJacobi, xi) -> Cx:
@@ -510,21 +689,18 @@ def ft_g_jacobi_closed(k, n: int, params: TransformParamsJacobi, xi) -> Cx:
     xi has d + 1 components, scalars or float arrays as in ft_f_closed."""
     k = _as_multiindex(k)
     _check_k_n(k, n)
-    d = k.d
-    fv = _as_freq(xi, d + 1)
-    xit = fv[d]
-    b, c = params.b, params.c
-    mu, beta, gamma = params.mu, params.beta, params.gamma
+    fv = _as_freq(xi, k.d + 1)
+    b, c, mu, beta = params.b, params.c, params.mu, params.beta
     if not (b + k.total > 0.0 and c > 0.0):
         raise DomainError("need b + |k| > 0 and c > 0 for the Gamma factors")
-    ball = _ball_transform_core(k, params.a, mu, fv)
-    zpow = 2.0 ** (b + c - 1.0)
+    den = 2 * k.total + 2.0 * mu + beta + k.d
     m = int(n) - k.total
-    pref = pochhammer(2 * k.total + 2.0 * mu + beta + d, m) / math.factorial(m)
-    gammas = gamma_cx(b + k.total - 0.5j * xit) * gamma_cx(c + 0.5j * xit) \
-        / gamma_cx(k.total + b + c)
-    return _cx_or_array(zpow * pref * gammas * ball * xi_factor(
-        n, k, b, c, mu, beta, gamma, _at_zero_where(gammas, xit)))
+    t = _t_spec(k, n, b, den, c,
+                int(n) + k.total + 2.0 * mu + beta + params.gamma + k.d)
+    t = t._replace(gammas=((k.total + b, -0.5), (c, 0.5)),
+                   den_gamma=k.total + b + c)
+    return _closed_value(k, params.a, mu, fv, t, b + c - 1.0,
+                         pochhammer(den, m) / math.factorial(m))
 
 
 # ----------------------------------------------------------------------
@@ -539,222 +715,52 @@ def _check_form(form: str) -> None:
         raise DomainError(f"unknown form {form!r}; pick from {_FORMS}")
 
 
-class _Factor(NamedTuple):
-    """One hyper-form factor of a Parseval family, a function of its one
-    variable z:
-
-        prod_i Gamma(g_i + c_i z)
-            * pFq(*num, shift + slope z; *den; argument)
-            * (poch_shift + poch_slope z)_poch_n
-
-    gammas holds the pairs (g_i, c_i); num[0] is minus the series'
-    degree, an int; poch is (poch_shift, poch_slope, poch_n)."""
-    gammas: tuple
-    num: tuple
-    shift: float
-    slope: float
-    den: tuple
-    argument: float
-    poch: tuple = (0.0, 0.0, 0)
-
-
-def _t_spec(family: str, k: MultiIndex, n: int, pp: ParsevalParams) -> _Factor:
-    """The t factor of family "a", (b1 - t)_|k| times the argument-2 2F1,
-    or of family "b", (b1 - t/2)_|k| times the 3F2 at 1."""
+def _family_specs(family: str, k, n: int, pp: ParsevalParams) -> list:
+    """The rows of family "a" or "b": its t factor, (b1 - t)_|k| times the
+    argument-2 2F1 or (b1 - t/2)_|k| times the 3F2 at 1, then its d axis
+    factors."""
+    k = _as_multiindex(k)
+    _check_k_n(k, n)
     kt = k.total
-    m = int(n) - kt
+    den = 2 * kt + pp.abs_b
     if family == "a":
-        return _Factor((), (-m,), pp.b1 + kt, -1.0, (2 * kt + pp.abs_b,), 2.0,
-                       (pp.b1, -1.0, kt))
-    return _Factor((), (-m, int(n) + kt + pp.abs_b + pp.abs_c - 1.0),
-                   kt + pp.b1, -0.5, (2 * kt + pp.abs_b, kt + pp.b1 + pp.c1),
-                   1.0, (pp.b1, -0.5, kt))
-
-
-def _axis_spec(j: int, k: MultiIndex, pp: ParsevalParams) -> _Factor:
-    """Axis j (1-based) factor shared by both families: the Gamma pair
-    Gamma(base - x/2) Gamma(base + x/2) times a terminating 3F2."""
-    d = k.d
-    kj = k[j - 1]
-    tail = k.tail(j + 1)
-    base = pp.a1 + tail / 2.0 + (d - j) / 4.0
-    return _Factor(((base, -0.5), (base, 0.5)),
-                   (-kj, kj + 2.0 * (tail + pp.abs_a + (d - j - 1) / 2.0)),
-                   base, 0.5,
-                   (tail + pp.abs_a + (d - j) / 2.0,
-                    tail + 2.0 * pp.a1 + (d - j) / 2.0), 1.0)
-
-
-def _reflected_pair(alpha, x):
-    """Gamma(alpha - x/2) Gamma(alpha + x/2), with the first Gamma
-    reflected: pi Gamma(alpha + x/2) / (Gamma(1 - alpha + x/2)
-    sin(pi (alpha - x/2))), x taken to Re x >= 0 (the pair is even in x).
-    It stays finite far out on the real axis, where one Gamma of the
-    direct product overflows as the other underflows; its relative error
-    grows like eps |x| log |x| (2e-13 at x = 1e3, 4e-3 at x = 1e12)."""
-    y = 0.5 * np.where(np.real(x) < 0.0, -x, x)
-    return np.pi * np.exp(log_gamma_cx(alpha + y) - log_gamma_cx(1.0 - alpha + y)) \
-        / np.sin(np.pi * (alpha - y))
-
-
-def _gamma_pair(spec: _Factor, z):
-    """(the product of the factor's Gamma pair Gamma(alpha - z/2)
-    Gamma(alpha + z/2) at z, z taken at 0 where that product is an exact
-    0).  Where the direct product is not finite, it is taken from
-    _reflected_pair."""
-    g = gamma_cx(np.stack([shift + slope * z for shift, slope in spec.gammas]))
-    pre = g[0] * g[1]
-    if not np.isfinite(pre).all():
-        pre = np.array(pre)
-        bad = ~np.isfinite(pre)
-        pre[bad] = _reflected_pair(spec.gammas[0][0], z[bad])
-        pre = pre[()]
-    return pre, _at_zero_where(pre, z)
-
-
-def _factor_value(spec: _Factor, z):
-    """The factor at z, a scalar or an array, for a spec with no Gammas
-    (a t factor) or the symmetric pair of _axis_spec: the pair's product
-    (_gamma_pair) times the series and Pochhammer, taken at z = 0 where
-    that product is an exact 0.  The reference for _Rows."""
-    z = np.asarray(z)
-    pre = None
-    if spec.gammas:
-        pre, z = _gamma_pair(spec, z)
-    value = _pfq_terminating((*spec.num, spec.shift + spec.slope * z),
-                             spec.den, spec.argument)
-    shift, slope, n = spec.poch
-    if n:
-        value = value * pochhammer(shift + slope * z, n)
-    return value if pre is None else pre * value
-
-
-class _Rows:
-    """Factors with Gammas evaluated together, row r at its own variable
-    z[r], for z of shape (rows, points): one gamma_cx call takes every
-    Gamma of every row, and one _pfq_terminating call every group of rows
-    of one series kind (the same parameter counts and argument).  Row by
-    row it is _factor_value, but for the reflection of a Gamma pair: the
-    Parseval oracle's imaginary axis keeps every Gamma product finite."""
-
-    def __init__(self, factors):
-        # the Gammas in one column: every row's first, then the second
-        # Gamma of each paired row
-        self.rows = len(factors)
-        self.paired = [r for r, f in enumerate(factors) if len(f.gammas) == 2]
-        gammas = [f.gammas[0] for f in factors] \
-            + [factors[r].gammas[1] for r in self.paired]
-        self.gamma_rows = list(range(self.rows)) + self.paired
-        self.g = np.array([g for g, _ in gammas])[:, None]
-        self.c = np.array([c for _, c in gammas])[:, None]
-        kinds = {}
-        for r, f in enumerate(factors):
-            kinds.setdefault((len(f.num), len(f.den), f.argument), []).append(r)
-        column = lambda values: np.array(values)[:, None]
-        self.series = [(
-            rows,
-            [column(c) for c in zip(*(factors[r].num for r in rows))],
-            column([factors[r].shift for r in rows]),
-            column([factors[r].slope for r in rows]),
-            [column(c) for c in zip(*(factors[r].den for r in rows))],
-            argument) for (_, _, argument), rows in kinds.items()]
-        self.poch = [(r, *f.poch) for r, f in enumerate(factors) if f.poch[2]]
-
-    def __call__(self, z):
-        g = gamma_cx(self.g + self.c * z[self.gamma_rows])
-        pre = g[:self.rows]
-        pre[self.paired] *= g[self.rows:]
-        z = _at_zero_where(pre, z)
-        value = np.empty(z.shape, dtype=np.complex128)
-        for rows, num, shift, slope, den, argument in self.series:
-            value[rows] = _pfq_terminating(
-                (*num, shift + slope * z[rows]), den, argument)
-        for r, shift, slope, n in self.poch:
-            value[r] = value[r] * pochhammer(shift + slope * z[r], n)
-        return pre * value
-
-
-def _family_axis_factor(xj, j: int, k: MultiIndex, pp: ParsevalParams,
-                        form: str):
-    """Axis j (1-based) factor shared by both Parseval families: the
-    _axis_spec factor, or its 3F2 in continuous-Hahn form."""
-    spec = _axis_spec(j, k, pp)
-    if form == "hyper":
-        return _factor_value(spec, xj)
-    gg, xj = _gamma_pair(spec, np.asarray(xj))
-    d = k.d
-    kj = k[j - 1]
-    tail = k.tail(j + 1)
-    alpha2 = pp.a2 + tail / 2.0 + (d - j) / 4.0
-    pref = math.factorial(kj) * _I_POWERS[(-kj) % 4] / (
-        pochhammer(tail + 2.0 * pp.a1 + (d - j) / 2.0, kj)
-        * pochhammer(tail + pp.abs_a + (d - j) / 2.0, kj))
-    return pref * gg * continuous_hahn(
-        kj, -0.5j * xj, spec.shift, alpha2, alpha2, spec.shift)
-
-
-def _finite(compute, *args, **kwargs):
-    """compute(*args, **kwargs); DomainError where its value is not finite,
-    as where a t factor's polynomial overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = compute(*args, **kwargs)
-    if not np.isfinite(value).all():
-        raise DomainError("family value overflows at this argument")
-    return value
-
-
-def _axis_factors(k: MultiIndex, pp: ParsevalParams, form: str) -> list:
-    return [partial(_family_axis_factor, j=j, k=k, pp=pp, form=form)
-            for j in range(1, k.d + 1)]
-
-
-def _family_value(factors, t, x):
-    """The product of the factors at (t, x), checked by _finite."""
-    t_factor, axis_factors = factors
-    coords = _coords(x, len(axis_factors))
-
-    def product():
-        value = t_factor(t)
-        for factor, xj in zip(axis_factors, coords):
-            value = value * factor(xj)
-        return value
-
-    return _cx_or_array(_finite(product))
-
-
-def _a_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
-    """The factors of a_family_factors, unguarded: a_family checks their
-    product."""
-    k = _as_multiindex(k)
-    _check_k_n(k, n)
-    _check_form(form)
-    return (partial(_factor_value, _t_spec("a", k, n, pp)),
-            _axis_factors(k, pp, form))
-
-
-def _b_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
-    """The factors of b_family_factors, unguarded, as in _a_factors."""
-    k = _as_multiindex(k)
-    _check_k_n(k, n)
-    _check_form(form)
-    if not pp.has_c:
+        t = _t_spec(k, n, pp.b1, den)
+    elif not pp.has_c:
         raise DomainError("b_family requires ParsevalParams with the c pair")
-    spec = _t_spec("b", k, n, pp)
+    else:
+        t = _t_spec(k, n, pp.b1, den, pp.c1,
+                    int(n) + kt + pp.abs_b + pp.abs_c - 1.0)
+    return [t._replace(poch=(pp.b1, t.slope, kt)),
+            *(_axis_spec(j, k, pp.a1, pp.mu) for j in range(1, k.d + 1))]
+
+
+def _family_factors(family: str, k, n: int, pp: ParsevalParams, form: str):
+    """(t_factor, [axis_factor_1, ...]) of family "a" or "b", each checked
+    by _finite."""
+    _check_form(form)
+    t, *axes = _family_specs(family, k, n, pp)
     if form == "hyper":
-        return partial(_factor_value, spec), _axis_factors(k, pp, form)
-    m = int(n) - k.total
-    pref = math.factorial(m) * _I_POWERS[(k.total - int(n)) % 4] / (
-        pochhammer(2 * k.total + pp.abs_b, m)
-        * pochhammer(k.total + pp.b1 + pp.c1, m))
-    shift, slope, kt = spec.poch
+        factors = [partial(_product, [spec]) for spec in (t, *axes)]
+    else:
+        factors = [partial(_product, [t]) if family == "a"  # no Hahn form
+                   else partial(_hahn_value, t, pp.c2),
+                   *(partial(_hahn_value, s, s.den[0] - s.shift) for s in axes)]
+    t_factor, *axis_factors = (partial(_finite, f) for f in factors)
+    return t_factor, axis_factors
 
-    def t_factor(t):
-        tt = np.asarray(t)
-        return pref * continuous_hahn(
-            m, 0.5j * tt, k.total + pp.b1, pp.c2, k.total + pp.b2, pp.c1) \
-            * pochhammer(shift + slope * tt, kt)
 
-    return t_factor, _axis_factors(k, pp, form)
+def _family_value(family: str, t, x, k, n: int, pp: ParsevalParams,
+                  form: str):
+    """The family at (t, x), checked by _finite; in the hyper form one
+    _Rows call takes its t row and axis rows."""
+    k = _as_multiindex(k)
+    zs = (t, *_coords(x, k.d))
+    if form == "hyper":
+        return _cx_or_array(
+            _finite(_product, _family_specs(family, k, n, pp), *zs))
+    t_factor, axis_factors = _family_factors(family, k, n, pp, form)
+    return _cx_or_array(_finite(lambda: math.prod(
+        f(z) for f, z in zip((t_factor, *axis_factors), zs))))
 
 
 def _orthogonality_integrand(family: str, n: int, k: MultiIndex, m: int,
@@ -776,8 +782,8 @@ def _orthogonality_integrand(family: str, n: int, k: MultiIndex, m: int,
     for kk, nn, p in ((k, n, pp), (l, m, swapped)):
         weight = (((p.b1, -1.0),) if family == "a"
                   else ((p.b1, -0.5), (p.c1, 0.5)))
-        factors.append(_t_spec(family, kk, nn, p)._replace(gammas=weight))
-        factors.extend(_axis_spec(j, kk, p) for j in range(1, kk.d + 1))
+        t, *axes = _family_specs(family, kk, nn, p)
+        factors += [t._replace(gammas=weight), *axes]
     rows = _Rows(factors)
     half = k.d + 1
     sign = np.repeat([1j, -1j], half)[:, None]
@@ -789,13 +795,6 @@ def _orthogonality_integrand(family: str, n: int, k: MultiIndex, m: int,
     return integrand
 
 
-def _guarded(factors):
-    """The factors, each checked by _finite."""
-    t_factor, axis_factors = factors
-    return (partial(_finite, t_factor),
-            [partial(_finite, factor) for factor in axis_factors])
-
-
 def a_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
     """The first Parseval family as separable factors
     (t_factor, [axis_factor_1, ..., axis_factor_d]) with
@@ -805,7 +804,7 @@ def a_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
     t_factor is the argument-2 2F1 in t times the shifted Pochhammer
     (b1 - t)_|k|; each factor is a vectorized callable of one variable
     that raises DomainError where its value is not finite."""
-    return _guarded(_a_factors(k, n, pp, form))
+    return _family_factors("a", k, n, pp, form)
 
 
 def b_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
@@ -813,7 +812,7 @@ def b_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
     a_family_factors.  t_factor is a terminating 3F2 at 1 in t
     (equivalently a degree n-|k| continuous-Hahn polynomial) times
     (b1 - t/2)_|k|."""
-    return _guarded(_b_factors(k, n, pp, form))
+    return _family_factors("b", k, n, pp, form)
 
 
 def a_family(t, x, k, n: int, pp: ParsevalParams, form: str = "hyper") -> Cx:
@@ -823,14 +822,14 @@ def a_family(t, x, k, n: int, pp: ParsevalParams, form: str = "hyper") -> Cx:
     t and the entries of x may be complex scalars or broadcastable
     arrays; the orthogonality theorem evaluates them on the imaginary
     slices (it, ix)."""
-    return _family_value(_a_factors(k, n, pp, form), t, x)
+    return _family_value("a", t, x, k, n, pp, form)
 
 
 def b_family(t, x, k, n: int, pp: ParsevalParams, form: str = "hyper") -> Cx:
     """Second Parseval family: terminating 3F2 at 1 in t (equivalently a
     degree n-|k| continuous-Hahn polynomial) times (b1 - t/2)_|k| times
     the axis product."""
-    return _family_value(_b_factors(k, n, pp, form), t, x)
+    return _family_value("b", t, x, k, n, pp, form)
 
 
 def _axis_norm_log(k: MultiIndex, pp: ParsevalParams) -> float:

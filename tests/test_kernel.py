@@ -288,6 +288,21 @@ def test_terminating_denominator_pole_before_stop():
         _pfq_terminating((-5, 1), (-3,), 1.0)
 
 
+def test_terminating_denominator_column_pole_before_stop():
+    # a stacked row whose denominator reaches 0 before the series ends
+    # raises as its scalar call does, rather than dividing by zero
+    with pytest.raises(PoleError):
+        _pfq_terminating((-1, np.array([[1.0], [2.0]])),
+                         (np.array([[0.0], [1.0]]),), 2.0)
+    with pytest.raises(PoleError):
+        _pfq_terminating((np.array([[-3], [-3]]), 1.0),
+                         (np.array([[2.5], [-2.0 + 1e-12j]]),), 1.0)
+    # a denominator reached only at the series' end is no pole, as for
+    # scalars
+    got = _pfq_terminating((-2, 1.0), (np.array([[-2.0], [1.5]]),), 1.0)
+    assert got[0, 0] == _pfq_terminating((-2, 1.0), (-2.0,), 1.0) == 3.0
+
+
 def test_terminating_denominator_pole_after_stop_is_fine():
     # series stops at 2 terms; the -3 denominator is never reached
     got = _pfq_terminating((-1, 2), (-3,), 1.0)

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+import conefourier.transforms as transforms
+
 from conefourier import (DomainError, FreqVector, MultiIndex, ParsevalParams,
                          PoleError, QuadratureConfig, TransformParamsJacobi,
                          TransformParamsLaguerre, a_family, a_family_factors,
@@ -227,6 +229,39 @@ def test_closed_transforms_take_array_frequencies():
     assert hash(FreqVector((0.5, 1.0))) == hash(FreqVector((0.5, 1.0)))
 
 
+@pytest.mark.parametrize("name,kinds", [("ft_f_closed", 1),
+                                        ("ft_g_laguerre_closed", 2),
+                                        ("ft_g_jacobi_closed", 1)])
+def test_closed_transform_makes_one_gamma_call(monkeypatch, name, kinds):
+    # every Gamma of the theta rows and the t row shares one gamma_cx
+    # call, with no log Gammas on in-range input, and each series kind
+    # (the axis 3F2s with the Jacobi t 3F2; the Laguerre argument-2 2F1)
+    # one _pfq_terminating call
+    counts = {"gamma": 0, "log_gamma": 0, "series": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, fn in (("gamma", "gamma_cx"), ("log_gamma", "log_gamma_cx"),
+                    ("series", "_pfq_terminating")):
+        monkeypatch.setattr(transforms, fn,
+                            counting(key, getattr(transforms, fn)))
+    k, xi = (2, 1, 1), (0.3, -1.2, 2.5, 0.7)
+    calls = {
+        "ft_f_closed": lambda: ft_f_closed(k, 0.8, 0.6, xi[:3]),
+        "ft_g_laguerre_closed": lambda: ft_g_laguerre_closed(
+            k, 5, TransformParamsLaguerre(0.7, 1.2, 0.5, 0.9), xi),
+        "ft_g_jacobi_closed": lambda: ft_g_jacobi_closed(
+            k, 5, TransformParamsJacobi(0.8, 1.1, 0.9, 0.4, 0.7, 0.6), xi),
+    }
+    assert np.isfinite(calls[name]())
+    assert counts == {"gamma": 1, "log_gamma": 0, "series": kinds}
+    assert not hasattr(transforms, "beta_cx")
+
+
 def test_closed_transforms_vanish_at_huge_frequencies():
     # the Beta/Gamma prefactor underflows to an exact 0 while the
     # terminating series in xi overflows: the value is 0, not inf * 0
@@ -244,6 +279,51 @@ def test_closed_transforms_vanish_at_huge_frequencies():
         got = fn(np.array([0.5, huge]))
         assert got[1] == 0.0
         assert got[0] == fn(np.array([0.5, 0.7]))[0]
+
+
+@pytest.mark.parametrize("a", [90.0, 200.0])
+def test_theta_at_large_a_vs_mpmath(a):
+    # Gamma(2 base) overflows past base ~ 86 and Gamma(base) past 171,
+    # while the Beta-3F2 factor stays finite: the log-space row takes it
+    j, d, mu, k, xi = 1, 2, 0.6, (2, 1), 0.7
+    with mpmath.workdps(30):
+        base = mpmath.mpf(a) + mpmath.mpf(0.75)
+        p = base + 0.5j * mpmath.mpf(xi)
+        want = complex(mpmath.beta(p, mpmath.conj(p)) * mpmath.hyp3f2(
+            -2, 2 + 2 * (1 + mpmath.mpf(mu) + 0.5), p,
+            1 + mpmath.mpf(mu) + 1, 1 + 2 * mpmath.mpf(a) + 0.5, 1))
+    for theta in (theta_hyper, theta_hahn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = theta(j, d, a, mu, k, xi)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("b", [170.0, 200.0, 1000.0])
+def test_cone_transforms_at_large_b(b):
+    # the Jacobi t row's Gamma ratio is finite although Gamma(b) is not;
+    # its value over the ball transform is checked against mpmath.  The
+    # Laguerre transform truly overflows there and raises.
+    k, n, xi = (1,), 2, (0.5, 0.3)
+    params = TransformParamsJacobi(0.8, b, 0.9, 0.4, 0.7, 0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = ft_g_jacobi_closed(k, n, params, xi) / ft_f_closed(
+            k, params.a, params.mu, xi[:1])
+        with pytest.raises(DomainError):
+            ft_g_laguerre_closed(k, n, TransformParamsLaguerre(
+                0.8, b, 0.4, 0.7), xi)
+    with mpmath.workdps(30):
+        mu, beta, gamma = (mpmath.mpf(v) for v in (0.7, 0.4, 0.6))
+        bb, c, u = mpmath.mpf(b), mpmath.mpf(0.9), 0.5j * mpmath.mpf(xi[1])
+        den = 2 + 2 * mu + beta + 1
+        want = complex(
+            2 ** (bb + c - 1) * mpmath.rf(den, 1)
+            * mpmath.gamma(bb + 1 - u) * mpmath.gamma(c + u)
+            / mpmath.gamma(1 + bb + c)
+            * mpmath.hyp3f2(-1, n + 1 + 2 * mu + beta + gamma + 1, 1 + bb - u,
+                            den, 1 + bb + c, 1))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_ft_f_sech_line():
@@ -418,16 +498,19 @@ def test_ab_families_zero_where_gamma_pair_underflows():
             assert abs(got[1] - want) < 1e-13 * abs(want)
 
 
-@pytest.mark.parametrize("x", [345.0, 700.0, -700.0])
+@pytest.mark.parametrize("x", [345.0, 700.0, -700.0, 1e5, 1e8, 1e12, 1e16])
 def test_axis_gamma_pair_far_on_the_real_axis_vs_mpmath(x):
     # Gamma(0.8 - x/2) underflows as Gamma(0.8 + x/2) overflows past
-    # |x| ~ 342; the reflected pair keeps the finite product
+    # |x| ~ 342; the reflected pair keeps the finite product, accurate
+    # out to x = 1e16, where 0.8 - x/2 rounds to an integer in doubles
     pp = ParsevalParams(0.8, 0.6, 0.9, 0.7)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = a_family(0.3j, (x,), (0,), 0, pp)
-    want = complex(mpmath.gamma(mpmath.mpf(0.8) - x / 2)
-                   * mpmath.gamma(mpmath.mpf(0.8) + x / 2))
+    with mpmath.workdps(40):
+        half = mpmath.mpf(x) / 2
+        want = complex(mpmath.gamma(mpmath.mpf(0.8) - half)
+                       * mpmath.gamma(mpmath.mpf(0.8) + half))
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -471,44 +554,55 @@ def test_a_norm_rhs_collapse():
 
 # ------------------------------------------------- finite or DomainError
 
-_LAG = TransformParamsLaguerre(0.7, 1.2, 0.5, 0.9)
-_JAC = TransformParamsJacobi(0.8, 1.1, 0.9, 0.4, 0.7, 0.6)
-_PP = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
 _K = (2, 1)
 
 
+def _params(s):
+    """The evaluators' parameters, with a, b, c and the Parseval pairs
+    scaled by s: s = 120 and 250 put Gamma(b) of the cone transforms and
+    Gamma(2a) of the theta factors past overflow."""
+    return {"a": 0.8 * s,
+            "lag": TransformParamsLaguerre(0.7 * s, 1.2 * s, 0.5, 0.9),
+            "jac": TransformParamsJacobi(0.8 * s, 1.1 * s, 0.9 * s, 0.4, 0.7,
+                                         0.6),
+            "pp": ParsevalParams(0.8 * s, 0.6 * s, 0.9 * s, 0.7 * s, 1.1 * s,
+                                 0.5 * s)}
+
+
 def _factor_calls(factors):
-    def calls(t, x, xi, u, form):
-        t_factor, axis_factors = factors(_K, 4, _PP, form)
+    def calls(t, x, xi, u, form, p):
+        t_factor, axis_factors = factors(_K, 4, p["pp"], form)
         return [partial(t_factor, u * t)] + [
             partial(f, u * v) for f, v in zip(axis_factors, (x, xi))]
     return calls
 
 
-# name -> (t, x, xi, u, form) -> the calls to check; the families and
-# their factors take the real line (u = 1) and the imaginary slice (u = i)
+# name -> (t, x, xi, u, form, params) -> the calls to check; the families
+# and their factors take the real line (u = 1) and the imaginary slice
+# (u = i)
 _EVALUATORS = {
-    "f_d": lambda t, x, xi, u, form: [partial(f_d, (x, xi), _K, 0.8, 0.6)],
-    "g_laguerre": lambda t, x, xi, u, form: [
-        partial(g_laguerre, t, (x, xi), _K, 4, _LAG)],
-    "g_jacobi": lambda t, x, xi, u, form: [
-        partial(g_jacobi, t, (x, xi), _K, 4, _JAC)],
-    "a_family": lambda t, x, xi, u, form: [
-        partial(a_family, u * t, (u * x, u * xi), _K, 4, _PP, form)],
-    "b_family": lambda t, x, xi, u, form: [
-        partial(b_family, u * t, (u * x, u * xi), _K, 4, _PP, form)],
+    "f_d": lambda t, x, xi, u, form, p: [
+        partial(f_d, (x, xi), _K, p["a"], 0.6)],
+    "g_laguerre": lambda t, x, xi, u, form, p: [
+        partial(g_laguerre, t, (x, xi), _K, 4, p["lag"])],
+    "g_jacobi": lambda t, x, xi, u, form, p: [
+        partial(g_jacobi, t, (x, xi), _K, 4, p["jac"])],
+    "a_family": lambda t, x, xi, u, form, p: [
+        partial(a_family, u * t, (u * x, u * xi), _K, 4, p["pp"], form)],
+    "b_family": lambda t, x, xi, u, form, p: [
+        partial(b_family, u * t, (u * x, u * xi), _K, 4, p["pp"], form)],
     "a_family_factors": _factor_calls(a_family_factors),
     "b_family_factors": _factor_calls(b_family_factors),
-    "theta_hyper": lambda t, x, xi, u, form: [
-        partial(theta_hyper, j, 2, 0.8, 0.6, _K, xi) for j in (1, 2)],
-    "theta_hahn": lambda t, x, xi, u, form: [
-        partial(theta_hahn, j, 2, 0.8, 0.6, _K, xi) for j in (1, 2)],
-    "ft_f_closed": lambda t, x, xi, u, form: [
-        partial(ft_f_closed, _K, 0.8, 0.6, (x, xi))],
-    "ft_g_laguerre_closed": lambda t, x, xi, u, form: [
-        partial(ft_g_laguerre_closed, _K, 4, _LAG, (x, xi, t))],
-    "ft_g_jacobi_closed": lambda t, x, xi, u, form: [
-        partial(ft_g_jacobi_closed, _K, 4, _JAC, (x, xi, t))],
+    "theta_hyper": lambda t, x, xi, u, form, p: [
+        partial(theta_hyper, j, 2, p["a"], 0.6, _K, xi) for j in (1, 2)],
+    "theta_hahn": lambda t, x, xi, u, form, p: [
+        partial(theta_hahn, j, 2, p["a"], 0.6, _K, xi) for j in (1, 2)],
+    "ft_f_closed": lambda t, x, xi, u, form, p: [
+        partial(ft_f_closed, _K, p["a"], 0.6, (x, xi))],
+    "ft_g_laguerre_closed": lambda t, x, xi, u, form, p: [
+        partial(ft_g_laguerre_closed, _K, 4, p["lag"], (x, xi, t))],
+    "ft_g_jacobi_closed": lambda t, x, xi, u, form, p: [
+        partial(ft_g_jacobi_closed, _K, 4, p["jac"], (x, xi, t))],
 }
 
 _FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
@@ -516,10 +610,12 @@ _FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 
 @pytest.mark.parametrize("name", sorted(_EVALUATORS))
 @given(t=_FINITE, x=_FINITE, xi=_FINITE, u=st.sampled_from((1.0, 1j)),
-       form=st.sampled_from(("hyper", "hahn")))
+       form=st.sampled_from(("hyper", "hahn")),
+       scale=st.sampled_from((1.0, 120.0, 250.0)))
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_public_evaluators_finite_or_domain_error(name, t, x, xi, u, form):
-    for call in _EVALUATORS[name](t, x, xi, u, form):
+def test_public_evaluators_finite_or_domain_error(name, t, x, xi, u, form,
+                                                  scale):
+    for call in _EVALUATORS[name](t, x, xi, u, form, _params(scale)):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
