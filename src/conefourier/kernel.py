@@ -74,16 +74,18 @@ _LANCZOS_C = np.array([
 _LANCZOS_SHIFTS = np.arange(1.0, len(_LANCZOS_C))[:, None]
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+_LOG2 = math.log(2.0)
 
 
 def _nonpositive_int(value) -> int | None:
     """Round ``value`` to a nonpositive integer if it is within
     INTEGRALITY_TOL of one, else return None.  Array inputs return None:
-    a termination degree is a scalar or an integer array."""
+    a termination degree is a scalar."""
     if isinstance(value, np.ndarray) and value.ndim > 0:
         return None
     z = complex(value)
-    if abs(z.imag) >= INTEGRALITY_TOL:
+    if z.real > 0.5 or abs(z.imag) >= INTEGRALITY_TOL:
         return None
     r = round(z.real)
     if r > 0 or abs(z.real - r) >= INTEGRALITY_TOL:
@@ -166,31 +168,66 @@ def gamma_cx(z):
     return complex(out[0]) if scalar else out.reshape(np.shape(np.asarray(z)))
 
 
+def _gamma_zero_beyond(re: float) -> float:
+    """A height y0 with gamma_cx(re + iy) an exact 0 for every real
+    |y| >= y0.
+
+    Right of Re 1/2, _gamma_right cuts its exponent to an exact 0 below
+    Re e = -800.  With a = re + G - 1/2 > 0 (G the Lanczos g) and t = a +
+    iy, Re e = (re - 1/2) log|t| - |y| atan(|y|/a) - a, and atan(u) >=
+    pi/2 - 1/u bounds it by B(y) = (re - 1/2) log|t| - pi |y|/2.  Left of
+    1/2, _gamma_left's exponent is at most a + B(y), with a = G + 1/2 - re
+    and t = a - iy, and its exp is an exact 0 below about -745.  Both
+    bounds fall with |y|; y0 puts them below -801.  A first y0 takes
+    log|t| <= log a + |y|/a for re > 1/2, log|t| >= log a left of it;
+    for re > 1/2, each step y <- (801 + (re - 1/2) log|t|) / (pi/2) then
+    stays at or above the crossing."""
+    k = re - 0.5
+    if k >= 0.0:
+        a, lift = re + _LANCZOS_G - 0.5, 0.0
+    else:
+        a = lift = _LANCZOS_G + 0.5 - re
+    y = (801.0 + lift + k * math.log(a)) / (0.5 * math.pi - max(k, 0.0) / a)
+    for _ in range(3 if k > 0.0 else 0):
+        y = (801.0 + k * math.log(math.hypot(a, y))) / (0.5 * math.pi)
+    return max(y, 0.0)
+
+
 def log_gamma_cx(z):
     """Principal branch of log Gamma.
 
     exp(log_gamma_cx(z)) == gamma_cx(z) wherever both are finite; real
-    and increasing on the positive real axis.  Computed by shifting the
-    argument right of Re z = 1/2 with principal logs and applying the
-    Lanczos log form there.
+    and increasing on the positive real axis.  The Lanczos log form right
+    of Re z = 1/2, and by reflection left of it, in constant time
+    however far left z lies.
     """
     zc = np.asarray(z, dtype=np.complex128)
     scalar = zc.ndim == 0
     zc = np.atleast_1d(zc)
     _check_gamma_poles(zc, what="log_gamma")
-    w = zc.copy()
-    shift = np.zeros_like(zc)
-    # logGamma(z) = logGamma(z+m) - sum of principal Log(z+j); the identity
-    # stays on the principal branch on the cut plane.
-    mask = w.real < 0.5
-    while np.any(mask):
-        shift[mask] += np.log(w[mask])
-        w[mask] += 1.0
-        mask = w.real < 0.5
+    left = zc.real < 0.5
+    w = np.where(left, 1.0 - zc, zc)
     x = w - 1.0
     t = x + _LANCZOS_G + 0.5
     lg = _LOG_SQRT_TWO_PI + (x + 0.5) * np.log(t) - t + np.log(_lanczos_sum(x))
-    lg -= shift
+    if left.any():
+        # logGamma(z) = log pi - L(z) - logGamma(1 - z), L the branch of
+        # log sin(pi z) continuous on Im z >= 0 with L(1/2) = 0:
+        # -log 2 + pi y + i pi (1/2 - x) + log(1 - e^(2 pi i z)), z = x + iy;
+        # below the axis, the conjugate of L at the conjugate.  e^(2 pi i z)
+        # takes x mod 1 exactly.
+        zl = zc[left]
+        below = zl.imag < 0.0
+        y = np.abs(zl.imag)
+        frac = np.fmod(zl.real, 1.0)
+        log_sin = (math.pi * y - _LOG2
+                   + 1j * math.pi * (0.5 - zl.real)
+                   + np.log(-np.expm1(2j * math.pi * frac - 2.0 * math.pi * y)))
+        log_sin = np.where(below, np.conj(log_sin), log_sin)
+        lg[left] = _LOG_PI - log_sin - lg[left]
+        # on the real axis the imaginary part is pi floor(x) exactly
+        real = left & (zc.imag == 0.0)
+        lg.imag[real] = math.pi * np.floor(zc.real[real])
     return complex(lg[0]) if scalar else lg.reshape(np.shape(np.asarray(z)))
 
 
@@ -286,38 +323,31 @@ def _series_dtype(values) -> type:
     return np.float64
 
 
-def _series_stop(a) -> int | None:
-    """The number of terms a numerator parameter lets through: -a for a
-    nonpositive integer, the largest -a_r for an integer array of them
-    (one termination degree per row), else None."""
-    if isinstance(a, np.ndarray) and a.dtype.kind in "iu":
-        if (a > 0).any():
-            raise DomainError(
-                "terminating pFq: integer degree parameters must be nonpositive")
-        return -int(a.min())
-    m = _nonpositive_int(a)
-    return None if m is None else -m
+def _series_terms(numerator, denominator) -> int:
+    """The number of terms of a terminating pFq: -a for its first
+    nonpositive-integer numerator a.  Raises DomainError when no scalar
+    numerator stops the series, and PoleError when a scalar denominator b
+    reaches b + j = 0 at a term j < the number of terms."""
+    stops = [-m for a in numerator if (m := _nonpositive_int(a)) is not None]
+    if not stops:
+        raise DomainError(
+            "terminating pFq: no numerator parameter is a nonpositive integer")
+    n_terms = min(stops)  # series stops at the first vanishing factor
+    for b in denominator:
+        m = _nonpositive_int(b)
+        if m is not None and -m < n_terms:
+            raise PoleError(
+                f"terminating pFq: denominator parameter {b} hits a "
+                f"nonpositive integer before the series terminates")
+    return n_terms
 
 
 def _pfq_terminating(numerator, denominator, argument):
     """Finite sum of the terminating pFq via the term-ratio recurrence.
 
     Valid for any argument (including 1 and 2) because the sum is finite.
-    A numerator parameter may be an integer array of nonpositive values,
-    one termination degree per row: the sum runs to the largest degree,
-    and a row of lower degree ends on its own exact-0 factor.
     """
-    stops = [m for a in numerator if (m := _series_stop(a)) is not None]
-    if not stops:
-        raise DomainError(
-            "terminating pFq: no numerator parameter is a nonpositive integer")
-    n_terms = min(stops)  # series stops at the first vanishing factor
-    for b in denominator:  # each row of a column reaches b + j = 0 at j = -b
-        if any(m is not None and -m < n_terms
-               for m in map(_nonpositive_int, np.ravel(b))):
-            raise PoleError(
-                f"terminating pFq: denominator parameter {b} hits a "
-                f"nonpositive integer before the series terminates")
+    n_terms = _series_terms(numerator, denominator)
     dtype = _series_dtype(list(numerator) + list(denominator) + [argument])
     shape = np.broadcast(*numerator, *denominator, argument).shape
     term = np.ones(shape, dtype=dtype)

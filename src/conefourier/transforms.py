@@ -5,8 +5,11 @@ families with their closed-form norm constants.
 Every transform and family is a product of rows of one factor table
 (_Factor): a Gamma product, a Beta being a Gamma pair over Gamma(2 base),
 times a terminating 3F2 or 2F1 (or a continuous-Hahn polynomial).  _Rows
-evaluates rows with one gamma_cx call, taking a Gamma product that
-overflows in log space, or by reflection far out on the real axis.
+evaluates rows with one gamma_cx call (_Gammas), taking a Gamma product
+that overflows in log space, or by reflection far out on the real axis,
+and the series of all rows in one loop over columns compiled when it is
+built.  The Parseval integrand evaluates its rows only inside the reach
+past which every Gamma of them is an exact 0.
 
 Conventions
 -----------
@@ -26,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import (INTEGRALITY_TOL, Cx, DomainError, PoleError,
-                     _pfq_terminating, _signed_log_pochhammer, gamma_cx,
-                     log_gamma_cx, pochhammer)
+                     _gamma_zero_beyond, _series_terms, _signed_log_pochhammer,
+                     gamma_cx, log_gamma_cx, pochhammer)
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
                            _as_multiindex, ball_norm, ball_op)
 from .univariate import _I_POWERS, continuous_hahn, gegenbauer, jacobi, laguerre
@@ -486,11 +489,10 @@ def _gamma_product_by_logs(spec: _Factor, z):
     return np.exp(log)
 
 
-class _Rows:
-    """The one evaluator of _Factor rows, row r at z[r] for z of shape
+class _Gammas:
+    """The Gamma products of _Factor rows, row r at z[r] for z of shape
     (rows, points): one gamma_cx call takes every Gamma of every row, and
-    one _pfq_terminating call the rows of each series kind (parameter
-    counts and argument); _gamma_product_by_logs takes what overflows."""
+    _gamma_product_by_logs what overflows."""
 
     def __init__(self, factors):
         self.factors = factors
@@ -506,24 +508,8 @@ class _Rows:
         self.at = [slot % n for slot in self.slots]
         gc = np.array([gc for _, gc in slots]).reshape(-1, 2)
         self.g, self.c = gc[:, :1], gc[:, 1:]
-        kinds = {}
-        for r, f in enumerate(factors):
-            kinds.setdefault((len(f.num), len(f.den), f.argument), []).append(r)
-        self.series = []
-        for (p, _, argument), rows in kinds.items():
-            # columns: the degrees, then the other numerators, the shift,
-            # the slope and the denominators as views of one table
-            table = np.array([(*f.num[1:], f.shift, f.slope, *f.den)
-                              for f in (factors[r] for r in rows)])
-            cols = [np.array([factors[r].num[0] for r in rows])[:, None],
-                    *(table[:, i:i + 1] for i in range(table.shape[1]))]
-            if rows == list(range(rows[0], rows[-1] + 1)):
-                rows = slice(rows[0], rows[-1] + 1)
-            self.series.append((rows, cols[:p], cols[p], cols[p + 1],
-                                cols[p + 2:], argument))
-        self.poch = [(r, *f.poch) for r, f in enumerate(factors) if f.poch[2]]
 
-    def prefactor(self, z):
+    def __call__(self, z):
         """(the rows' Gamma products at z, z taken at 0 where a product is
         an exact 0)."""
         n = len(self.factors)
@@ -546,14 +532,73 @@ class _Rows:
         # the growth of a terminating series in z never meets it as inf * 0
         return pre, np.where(pre == 0.0, 0.0, z)
 
+
+class _Rows:
+    """The one evaluator of _Factor rows, row r at z[r] for z of shape
+    (rows, points): their Gamma products by _Gammas, times their series
+    and Pochhammer factors.
+
+    The build checks every row's series for its stop and denominator
+    poles, once, and compiles the series of all rows, of any kind, into
+    constant columns of the term ratio: with w = shift + slope z, term
+    j + 1 is term j times p_j (w + j), then divided by each denominator
+    b + j in turn, where p_j = (argument / (j + 1)) (num_0 + j) (num_1 + j)
+    ...  From the term where a row's series stops, p_j is an exact 0 and
+    its denominators 1, as is a denominator the row lacks.  So one loop
+    takes the rows of every kind, in the scalar series' order of
+    operations."""
+
+    def __init__(self, factors):
+        self.gammas = _Gammas(factors)
+        stops = [_series_terms(f.num, f.den) for f in factors]
+        p = max(len(f.num) for f in factors)
+        q = max(len(f.den) for f in factors)
+        terms = range(max(stops))
+
+        def plus_j(f, stop, j):
+            """Row f's numerators, then denominators, plus j at term j: 1
+            for a parameter it lacks, and from its stop on 0 for its
+            degree and 1 for the rest."""
+            if j >= stop:
+                return [0] + [1] * (p + q - 1)
+            return ([a + j for a in f.num] + [1] * (p - len(f.num))
+                    + [b + j for b in f.den] + [1] * (q - len(f.den)))
+
+        table = np.array([plus_j(f, stop, j) for j in terms
+                          for f, stop in zip(factors, stops)],
+                         dtype=np.complex128).reshape(len(terms),
+                                                      len(factors), p + q)
+        head = np.array([(f.argument, f.shift, f.slope, *f.poch)
+                         for f in factors], dtype=np.complex128)
+        self.p = head[:, :1] / np.arange(1.0, len(terms) + 1.0)[:, None, None]
+        for i in range(p):
+            self.p = self.p * table[..., i:i + 1]
+        self.den = table[..., p:].transpose(0, 2, 1)[..., None]
+        self.shift, self.slope = head[:, 1:2], head[:, 2:3]
+        rows = [r for r, f in enumerate(factors) if f.poch[2]]
+        self.poch = (rows, head[rows, 3:4], head[rows, 4:5],
+                     head[rows, 5:6].real)
+
     def __call__(self, z):
-        pre, z = self.prefactor(z)
-        value = np.empty(z.shape, dtype=np.complex128)
-        for rows, num, shift, slope, den, argument in self.series:
-            value[rows] = _pfq_terminating(
-                (*num, shift + slope * z[rows]), den, argument)
-        for r, shift, slope, n in self.poch:
-            value[r] = value[r] * pochhammer(shift + slope * z[r], n)
+        pre, z = self.gammas(z)
+        w = self.shift + self.slope * z
+        term = np.ones(z.shape, dtype=np.complex128)
+        value = term.copy()
+        for j, (p, den) in enumerate(zip(self.p, self.den)):
+            factor = p * (w + j)
+            for b in den:
+                factor = factor / b
+            term = term * factor
+            value = value + term
+        rows, shift, slope, order = self.poch
+        if rows:
+            # no in-place or masked products: numpy rounds those complex
+            # products differently from pochhammer's
+            a = shift + slope * z[rows]
+            poch = np.ones(a.shape, dtype=np.complex128)
+            for j in range(int(order.max())):
+                poch = poch * np.where(j < order, a + j, 1.0)
+            value[rows] = value[rows] * poch
         return pre * value
 
 
@@ -576,7 +621,7 @@ def _hahn_value(spec: _Factor, b, z):
     p_m(x; a, b, c, d) of Koekoek-Lesky-Swarttouw 9.4.1, a + ix = shift +
     slope z, (a + c, a + d) the denominators and b given: theta-dual's
     second evaluation."""
-    pre, zz = _Rows([spec]).prefactor(np.reshape(z, (1, -1)))
+    pre, zz = _Gammas([spec])(np.reshape(z, (1, -1)))
     m = -spec.num[0]
     a = spec.shift
     e, f = spec.den
@@ -776,7 +821,9 @@ def _orthogonality_integrand(family: str, n: int, k: MultiIndex, m: int,
     weighted t factors, row j the axis-j factors; each row is
     F(s) conj(G(s)), with F the (n, k) factor at is and G(s) the
     conjugate of the swapped (m, l) factor at -is.  Every row is finite
-    on the whole line, an exact 0 where its Gamma products underflow."""
+    on the whole line, an exact 0 where its Gamma products underflow:
+    past |s| = reach, where every Gamma of both sides is, the rows are not
+    evaluated."""
     swapped = ParsevalParams(pp.a2, pp.a1, pp.b2, pp.b1, pp.c2, pp.c1)
     factors = []
     for kk, nn, p in ((k, n, pp), (l, m, swapped)):
@@ -787,10 +834,18 @@ def _orthogonality_integrand(family: str, n: int, k: MultiIndex, m: int,
     rows = _Rows(factors)
     half = k.d + 1
     sign = np.repeat([1j, -1j], half)[:, None]
+    # every row holds a Gamma at g + c z, c != 0, and z = +-is puts its
+    # argument at g + ics
+    slots = zip(rows.gammas.g.ravel().tolist(),
+                np.abs(rows.gammas.c).ravel().tolist())
+    reach = max(_gamma_zero_beyond(g) / c for g, c in set(slots))
 
     def integrand(s):
-        value = rows(sign * s)
-        return value[:half] * value[half:]
+        live = np.abs(s) < reach
+        value = rows(sign * s[live])
+        out = np.zeros((half, s.size), dtype=np.complex128)
+        out[:, live] = value[:half] * value[half:]
+        return out
 
     return integrand
 

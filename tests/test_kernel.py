@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from conefourier import (DomainError, PoleError, beta_cx, gamma_cx,
                          log_gamma_cx, pochhammer)
 from conefourier.kernel import (_LANCZOS_C, _LANCZOS_G, _SQRT_TWO_PI,
-                                _lanczos_sum, _pfq_terminating)
+                                _gamma_zero_beyond, _lanczos_sum,
+                                _pfq_terminating)
 
 
 # ---------------------------------------------------------------- gamma
@@ -181,6 +182,29 @@ def test_exp_log_gamma_matches_gamma():
                                                            rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [-1e3 + 0.5j, -1e3 - 0.5j, -1e5 + 0.5j,
+                               -1e8 + 0.5j])
+def test_log_gamma_far_left_matches_mpmath(z):
+    # reflection, not one unit step per shift: constant time however far
+    # left, on mpmath's branch
+    want = complex(mpmath.loggamma(z))
+    assert abs(log_gamma_cx(z) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("re", [0.05, 0.3, 0.5, 0.8, 3.0, 108.0, 275.0])
+def test_gamma_is_an_exact_zero_past_its_height(re):
+    # on both Lanczos branches, every |y| >= the height gives an exact 0
+    y0 = _gamma_zero_beyond(re)
+    y = y0 * np.concatenate([np.linspace(1.0, 3.0, 501),
+                             np.logspace(0.0, 290.0, 59)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.all(gamma_cx(re + 1j * y) == 0.0)
+        assert np.all(gamma_cx(re - 1j * y) == 0.0)
+        # and the height is not far past the last nonzero value
+        assert gamma_cx(complex(re, y0 - 60.0)) != 0.0
+
+
 # ----------------------------------------------------------------- beta
 
 def test_beta_ones():
@@ -288,40 +312,10 @@ def test_terminating_denominator_pole_before_stop():
         _pfq_terminating((-5, 1), (-3,), 1.0)
 
 
-def test_terminating_denominator_column_pole_before_stop():
-    # a stacked row whose denominator reaches 0 before the series ends
-    # raises as its scalar call does, rather than dividing by zero
-    with pytest.raises(PoleError):
-        _pfq_terminating((-1, np.array([[1.0], [2.0]])),
-                         (np.array([[0.0], [1.0]]),), 2.0)
-    with pytest.raises(PoleError):
-        _pfq_terminating((np.array([[-3], [-3]]), 1.0),
-                         (np.array([[2.5], [-2.0 + 1e-12j]]),), 1.0)
-    # a denominator reached only at the series' end is no pole, as for
-    # scalars
-    got = _pfq_terminating((-2, 1.0), (np.array([[-2.0], [1.5]]),), 1.0)
-    assert got[0, 0] == _pfq_terminating((-2, 1.0), (-2.0,), 1.0) == 3.0
-
-
 def test_terminating_denominator_pole_after_stop_is_fine():
     # series stops at 2 terms; the -3 denominator is never reached
     got = _pfq_terminating((-1, 2), (-3,), 1.0)
     assert got == pytest.approx(1 + 2.0 / 3.0, rel=1e-14)
-
-
-def test_terminating_degree_column_matches_rows():
-    # one call with a column of degrees gives each row's own series, bit
-    # for bit: a lower-degree row ends on its exact-0 factor
-    degrees = np.array([[0], [-1], [-3], [-2]])
-    b = np.array([[1.5], [0.7], [2.25], [0.4]])
-    x = np.array([0.3 + 0.2j, -1.1 + 4.0j, 2.5 - 0.5j])
-    got = _pfq_terminating((degrees, b, 0.8 + 0.5j * x), (np.array([[1.2]]), 2.6), 1.0)
-    for r in range(4):
-        want = _pfq_terminating((int(degrees[r, 0]), float(b[r, 0]), 0.8 + 0.5j * x),
-                                (1.2, 2.6), 1.0)
-        assert np.array_equal(got[r], want)
-    with pytest.raises(DomainError):
-        _pfq_terminating((np.array([[-1], [2]]), 1.0), (2.0,), 1.0)
 
 
 @given(st.integers(min_value=0, max_value=6),

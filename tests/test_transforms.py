@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+import conefourier.kernel as kernel
 import conefourier.transforms as transforms
+import conefourier.univariate as univariate
 
 from conefourier import (DomainError, FreqVector, MultiIndex, ParsevalParams,
                          PoleError, QuadratureConfig, TransformParamsJacobi,
@@ -23,7 +25,8 @@ from conefourier import (DomainError, FreqVector, MultiIndex, ParsevalParams,
                          f_d_via_g2, fourier_num, ft_f_closed,
                          ft_g_jacobi_closed, ft_g_laguerre_closed, g_jacobi,
                          g_laguerre, gamma_cx, lambda_factor, theta_hahn,
-                         theta_hyper, xi_factor)
+                         pochhammer, theta_hyper, xi_factor)
+from conefourier.kernel import _pfq_terminating
 
 CFG_FT = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6)
 
@@ -233,11 +236,13 @@ def test_closed_transforms_take_array_frequencies():
                                         ("ft_g_laguerre_closed", 2),
                                         ("ft_g_jacobi_closed", 1)])
 def test_closed_transform_makes_one_gamma_call(monkeypatch, name, kinds):
-    # every Gamma of the theta rows and the t row shares one gamma_cx
-    # call, with no log Gammas on in-range input, and each series kind
-    # (the axis 3F2s with the Jacobi t 3F2; the Laguerre argument-2 2F1)
-    # one _pfq_terminating call
-    counts = {"gamma": 0, "log_gamma": 0, "series": 0}
+    # one _Rows call takes every Gamma of the theta rows and the t row in
+    # one gamma_cx call, with no log Gammas on in-range input, and the
+    # series of its kinds (the axis 3F2s with the Jacobi t 3F2; the
+    # Laguerre argument-2 2F1) in one compiled loop, with no
+    # _pfq_terminating call
+    counts = {"rows": 0, "gamma": 0, "log_gamma": 0, "series": 0}
+    series_kinds = set()
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -245,10 +250,20 @@ def test_closed_transform_makes_one_gamma_call(monkeypatch, name, kinds):
             return fn(*args, **kwargs)
         return wrapper
 
-    for key, fn in (("gamma", "gamma_cx"), ("log_gamma", "log_gamma_cx"),
-                    ("series", "_pfq_terminating")):
+    def rows_call(rows, z):
+        series_kinds.update((len(f.num), len(f.den), f.argument)
+                            for f in rows.gammas.factors)
+        return call(rows, z)
+
+    for key, fn in (("gamma", "gamma_cx"), ("log_gamma", "log_gamma_cx")):
         monkeypatch.setattr(transforms, fn,
                             counting(key, getattr(transforms, fn)))
+    call = transforms._Rows.__call__
+    monkeypatch.setattr(transforms._Rows, "__call__",
+                        counting("rows", rows_call))
+    for module in (kernel, univariate):
+        monkeypatch.setattr(module, "_pfq_terminating",
+                            counting("series", module._pfq_terminating))
     k, xi = (2, 1, 1), (0.3, -1.2, 2.5, 0.7)
     calls = {
         "ft_f_closed": lambda: ft_f_closed(k, 0.8, 0.6, xi[:3]),
@@ -258,8 +273,83 @@ def test_closed_transform_makes_one_gamma_call(monkeypatch, name, kinds):
             k, 5, TransformParamsJacobi(0.8, 1.1, 0.9, 0.4, 0.7, 0.6), xi),
     }
     assert np.isfinite(calls[name]())
-    assert counts == {"gamma": 1, "log_gamma": 0, "series": kinds}
+    assert counts == {"rows": 1, "gamma": 1, "log_gamma": 0, "series": 0}
+    assert len(series_kinds) == kinds
     assert not hasattr(transforms, "beta_cx")
+    assert not hasattr(transforms, "_pfq_terminating")
+
+
+def _series_row(num, den, argument, shift=0.8, slope=0.5j, poch=(0.0, 0.0, 0)):
+    return transforms._Factor((), num, shift, slope, den, argument, poch)
+
+
+def _scalar_route(f, z):
+    """Row f at z by the scalar series and pochhammer, one row at a time."""
+    value = _pfq_terminating((*f.num, f.shift + f.slope * z), f.den,
+                             f.argument)
+    shift, slope, n = f.poch
+    return value * pochhammer(shift + slope * z, n) if n else value
+
+
+def test_rows_of_mixed_degrees_match_their_scalar_series():
+    # one compiled loop over rows of degrees 0-3 gives each row's own
+    # series, bit for bit: a lower-degree row stops on an exact-0 p_j, so
+    # a denominator it reaches only past its stop is no pole
+    x = np.array([0.3 + 0.2j, -1.1 + 4.0j, 2.5 - 0.5j])
+    rows = [_series_row((m, b), (1.2, 2.6), 1.0)
+            for m, b in ((0, 1.5), (-1, 0.7), (-3, 2.25), (-2, 0.4))]
+    rows.append(_series_row((-1,), (-1.0,), 2.0))
+    got = transforms._Rows(rows)(np.tile(x, (len(rows), 1)))
+    for r, f in enumerate(rows):
+        assert np.array_equal(got[r], _scalar_route(f, x))
+    with pytest.raises(DomainError):
+        transforms._Rows([rows[0], _series_row((2, 1.0), (2.0,), 1.0)])
+
+
+def test_rows_denominator_pole_before_stop():
+    # a row whose denominator reaches 0 before its series ends raises at
+    # the build, as its scalar series does, rather than dividing by zero
+    with pytest.raises(PoleError):
+        transforms._Rows([_series_row((-1,), (0.0,), 2.0, 1.0, 0.0),
+                          _series_row((-1,), (1.0,), 2.0, 2.0, 0.0)])
+    with pytest.raises(PoleError):
+        transforms._Rows([_series_row((-3,), (2.5,), 1.0, 1.0, 0.0),
+                          _series_row((-3,), (-2.0 + 1e-12j,), 1.0, 1.0, 0.0)])
+    # a denominator reached only at the series' end is no pole, as for
+    # scalars
+    rows = [_series_row((-2,), (b,), 1.0, 1.0, 0.0) for b in (-2.0, 1.5)]
+    got = transforms._Rows(rows)(np.zeros((2, 1), dtype=complex))
+    assert got[0, 0] == _pfq_terminating((-2, 1.0), (-2.0,), 1.0) == 3.0
+
+
+_ROW = st.tuples(
+    st.booleans(),  # a 3F2 at 1, else a 2F1 at 2
+    st.integers(min_value=0, max_value=4),
+    st.floats(min_value=0.3, max_value=3.0),
+    st.complex_numbers(min_magnitude=0.2, max_magnitude=3.0),
+    st.sampled_from((-1.0, -0.5, 0.5, 1.0)),
+    st.tuples(st.floats(min_value=0.3, max_value=4.0),
+              st.floats(min_value=0.3, max_value=4.0)),
+    st.tuples(st.floats(min_value=0.2, max_value=3.0),
+              st.sampled_from((-1.0, -0.5)),
+              st.integers(min_value=0, max_value=3)))
+
+
+@given(rows=st.lists(_ROW, min_size=1, max_size=5),
+       s=st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=1,
+                  max_size=6),
+       u=st.sampled_from((1.0, 1j, 0.6 + 0.8j)))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_compiled_rows_equal_scalar_series_times_pochhammer(rows, s, u):
+    # the compiled series times the Pochhammer column equals, with ==, the
+    # row-by-row route of scalar _pfq_terminating times pochhammer
+    factors = [_series_row((-m, o) if f32 else (-m,), den if f32 else den[:1],
+                           1.0 if f32 else 2.0, shift, slope, poch)
+               for f32, m, o, shift, slope, den, poch in rows]
+    z = u * np.array(s)
+    got = transforms._Rows(factors)(np.tile(z, (len(factors), 1)))
+    for r, f in enumerate(factors):
+        assert np.array_equal(got[r], _scalar_route(f, z)), f
 
 
 def test_closed_transforms_vanish_at_huge_frequencies():

@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+import conefourier.kernel as kernel
 import conefourier.quadrature as quadrature
 import conefourier.transforms as transforms
+import conefourier.univariate as univariate
 import conefourier.verify as verify
 from conefourier import (DomainError, MultiIndex, NonConvergenceError,
                          ParsevalParams, QuadratureConfig, a_family,
@@ -245,12 +247,12 @@ def test_parseval_pairs_vanish_at_far_nodes(family):
 
 
 def test_parseval_check_makes_one_gamma_call_per_ladder_call(monkeypatch):
-    # the t weights and every axis pair of both sides share one gamma_cx
-    # call, and each series kind one _pfq_terminating call, per integrand
-    # call (family a: the argument-2 2F1 and the axis 3F2s; family b: its
-    # t 3F2 is of the axes' kind); one call takes the DE levels 0-3, each
-    # later call one level
-    counts = {"integrand": 0, "gamma": 0, "series": 0}
+    # one _Rows call per integrand call takes the t weights and every axis
+    # pair of both sides in one gamma_cx call, and the series of both
+    # kinds (family a: the argument-2 2F1 and the axis 3F2s) in its
+    # compiled loop, with no _pfq_terminating call; one integrand call
+    # takes the DE levels 0-3, each later call one level
+    counts = {"integrand": 0, "rows": 0, "gamma": 0, "series": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -260,8 +262,11 @@ def test_parseval_check_makes_one_gamma_call_per_ladder_call(monkeypatch):
 
     monkeypatch.setattr(transforms, "gamma_cx",
                         counting("gamma", transforms.gamma_cx))
-    monkeypatch.setattr(transforms, "_pfq_terminating",
-                        counting("series", transforms._pfq_terminating))
+    monkeypatch.setattr(transforms._Rows, "__call__",
+                        counting("rows", transforms._Rows.__call__))
+    for module in (kernel, univariate):
+        monkeypatch.setattr(module, "_pfq_terminating",
+                            counting("series", module._pfq_terminating))
     lhs = verify.parseval_lhs
     monkeypatch.setattr(verify, "parseval_lhs", lambda f, cfg: lhs(
         counting("integrand", f), cfg=cfg))
@@ -270,17 +275,71 @@ def test_parseval_check_makes_one_gamma_call_per_ladder_call(monkeypatch):
         before = dict(counts)
         report = check_identity(f"parseval-{family}", params)
         assert report.passed
-        calls = counts["integrand"] - before["integrand"]
-        assert calls >= 1
-        assert counts["gamma"] - before["gamma"] == calls
-        kinds = 2 if family == "a" else 1
-        assert counts["series"] - before["series"] == kinds * calls
+        calls = {key: counts[key] - before[key] for key in counts}
+        assert calls["integrand"] >= 1
+        assert calls == {"integrand": calls["integrand"],
+                         "rows": calls["integrand"],
+                         "gamma": calls["integrand"], "series": 0}
         # 2 rows on levels 0..(calls + 2): 217 nodes through level 4
-        assert report.evals == 2 * _ladder_nodes(calls + 2)
+        assert report.evals == 2 * _ladder_nodes(calls["integrand"] + 2)
 
 
 def _ladder_nodes(level):
     return sum(quadrature._sinh_sinh_table(j)[0].size for j in range(level + 1))
+
+
+def _grid_integrands(pairs, pp):
+    for family in "ab":
+        for (n, k), (m, l) in pairs:
+            yield _orthogonality_integrand(family, n, MultiIndex(k), m,
+                                           MultiIndex(l), pp)
+
+
+_D1_PAIRS = [((n, (k,)), (m, (l,))) for (n, k), (m, l)
+             in itertools.combinations_with_replacement(_D1_STATES, 2)]
+# the d = 2 and d = 3 pairs of the acceptance grids
+_D23_PAIRS = [((1, (1, 0)), (1, l)) for l in ((1, 0), (0, 1))] + [
+    ((1, (0, 0, 1)), (1, (0, 0, 1))), ((1, (1, 0, 0)), (1, (1, 0, 0))),
+    ((2, (1, 0, 1)), (2, (1, 0, 1))), ((1, (1, 0, 0)), (1, (0, 1, 0))),
+    ((1, (0, 0, 1)), (2, (0, 0, 1)))]
+
+
+@pytest.mark.parametrize("pairs,pp", [
+    (_D1_PAIRS + _D23_PAIRS, _PP),
+    # slots of g < 1/2, on _gamma_left's branch: b2 in the a weight, c2
+    # in the b weight, a2 in the swapped axis pair
+    (_D1_PAIRS, ParsevalParams(0.8, 0.3, 0.9, 0.3, 1.1, 0.3)),
+    # parameters past Gamma overflow, as in the finite-or-DomainError
+    # property
+    (_D1_PAIRS, ParsevalParams(*(120.0 * v for v in (0.8, 0.6, 0.9, 0.7,
+                                                     1.1, 0.5)))),
+    (_D1_PAIRS, ParsevalParams(*(250.0 * v for v in (0.8, 0.6, 0.9, 0.7,
+                                                     1.1, 0.5)))),
+], ids=["grid", "g-below-half", "scale-120", "scale-250"])
+def test_parseval_integrand_skips_only_exact_zeros(monkeypatch, pairs, pp):
+    # on sinh-sinh levels 0-8, the integrand equals, node for node with
+    # ==, the integrand that evaluates its rows everywhere: every node it
+    # skips past its reach is an exact 0 there, and the others are the
+    # same values (the same NaN where, at the large scales, the product of
+    # the two sides overflows near s = 0)
+    nodes = np.concatenate([quadrature._sinh_sinh_table(j)[0]
+                            for j in range(9)])
+    points = []
+    rows_call = transforms._Rows.__call__
+
+    def counting(rows, z):
+        points.append(z.shape[1])
+        return rows_call(rows, z)
+
+    monkeypatch.setattr(transforms._Rows, "__call__", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # that overflow
+        skipping = [f(nodes) for f in _grid_integrands(pairs, pp)]
+        assert max(points) < nodes.size / 2  # most of the ladder is skipped
+        monkeypatch.setattr(transforms, "_gamma_zero_beyond",
+                            lambda re: math.inf)
+        for got, f in zip(skipping, _grid_integrands(pairs, pp)):
+            assert np.array_equal(got, f(nodes), equal_nan=True)
 
 
 def test_parseval_oracle_never_reflects_a_gamma_pair(monkeypatch):
