@@ -8,7 +8,7 @@ from .kernel import (Cx, DomainError, PoleError, beta_cx, gamma_cx,
                      log_gamma_cx, pochhammer)
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
                            ball_norm, ball_op, ball_weight, cone_basis,
-                           cone_inner_product_separated, jacobi_cone,
+                           cone_inner_product_separated, cone_norm, jacobi_cone,
                            laguerre_cone, space_dimension)
 from .quadrature import (IntegralResult, NonConvergenceError,
                          QuadratureConfig, fourier_num, integrate_1d,
@@ -31,7 +31,7 @@ __all__ = [
     "Cx", "DomainError", "PoleError",
     "beta_cx", "gamma_cx", "log_gamma_cx", "pochhammer",
     "JacobiConeParams", "LaguerreConeParams", "MultiIndex", "ball_norm", "ball_op", "ball_weight", "cone_basis",
-    "cone_inner_product_separated", "jacobi_cone", "laguerre_cone",
+    "cone_inner_product_separated", "cone_norm", "jacobi_cone", "laguerre_cone",
     "space_dimension",
     "IntegralResult", "NonConvergenceError", "QuadratureConfig",
     "fourier_num", "integrate_1d", "integrate_tensor", "parseval_lhs",

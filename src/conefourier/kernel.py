@@ -13,6 +13,7 @@ imaginary dust from the series engine itself.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -287,6 +288,18 @@ def pochhammer(alpha, n: int):
         return 0.0
     out = np.asarray(_pochhammer_loggamma(alpha, n))
     return out if out.ndim else out[()]
+
+
+# the logs of the least normal and the largest finite double
+_LOG_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+
+
+def _exp_in_range(log_value: float, what: str) -> float:
+    """exp of a norm assembled in log space; DomainError, not inf, 0 or
+    OverflowError, where the norm lies past the double range."""
+    if not _LOG_RANGE[0] <= log_value <= _LOG_RANGE[1]:
+        raise DomainError(f"{what} lies past the double range (log {log_value:.6g})")
+    return math.exp(log_value)
 
 
 def _signed_log_pochhammer(alpha: float, n: int) -> tuple[float, float]:

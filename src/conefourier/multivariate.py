@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import DomainError, _signed_log_pochhammer
-from .univariate import gegenbauer, jacobi, laguerre
+from .kernel import _LOG2, DomainError, _exp_in_range, _signed_log_pochhammer
+from .univariate import gegenbauer, jacobi, jacobi_norm, laguerre, laguerre_norm
 
 __all__ = [
     "MultiIndex",
@@ -28,6 +28,7 @@ __all__ = [
     "cone_basis",
     "laguerre_cone",
     "jacobi_cone",
+    "cone_norm",
     "cone_inner_product_separated",
 ]
 
@@ -226,9 +227,9 @@ def ball_norm(k, mu: float) -> float:
             raise DomainError("ball_norm: denominator Pochhammer vanishes")
         sign *= s1 * s2 * s3
         log_h += l1 + l2 - l3 - math.lgamma(k[j - 1] + 1.0)
-    if sign <= 0.0 or not math.isfinite(log_h):
+    if sign <= 0.0:
         raise DomainError(f"ball_norm degenerates at k = {k.components}, mu = {mu}")
-    return sign * math.exp(log_h)
+    return sign * _exp_in_range(log_h, "ball_norm")
 
 
 def _cone_point(p, d: int):
@@ -273,6 +274,27 @@ def jacobi_cone(k, n: int, params: JacobiConeParams, p):
     return cone_basis(lambda deg, alpha, t: jacobi(deg, alpha + params.beta,
                                                    params.gamma, 1.0 - 2.0 * t),
                       k, n, p, params.mu)
+
+
+def cone_norm(k, n: int, params) -> float:
+    """Squared norm of laguerre_cone(k, n, params, .) or jacobi_cone(k, n,
+    params, .) in cone_inner_product_separated: with m = |k| and alpha =
+    2m + 2mu + beta + d - 1, ball_norm(k, mu) times laguerre_norm(n - m,
+    alpha), or times 2^-(alpha+gamma+1) jacobi_norm(n - m, alpha, gamma)
+    (the radial integral in t = (1 - s)/2), assembled in log space."""
+    k = _as_multiindex(k)
+    params.validate_dimension(k.d)
+    m = k.total
+    if n < m:
+        raise DomainError(f"cone_norm requires |k| <= n, got |k| = {m} > n = {n}")
+    alpha = 2.0 * m + 2.0 * params.mu + params.beta + k.d - 1.0
+    log_h = math.log(ball_norm(k, params.mu))
+    if isinstance(params, JacobiConeParams):
+        log_h += (math.log(jacobi_norm(n - m, alpha, params.gamma))
+                  - (alpha + params.gamma + 1.0) * _LOG2)
+    else:
+        log_h += math.log(laguerre_norm(n - m, alpha))
+    return _exp_in_range(log_h, "cone_norm")
 
 
 def _cube_to_ball(s):

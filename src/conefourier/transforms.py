@@ -28,9 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import (INTEGRALITY_TOL, Cx, DomainError, PoleError,
-                     _gamma_zero_beyond, _series_terms, _signed_log_pochhammer,
-                     gamma_cx, log_gamma_cx, pochhammer)
+from .kernel import (_LOG2, INTEGRALITY_TOL, Cx, DomainError, PoleError,
+                     _exp_in_range, _gamma_zero_beyond, _series_terms,
+                     _signed_log_pochhammer, gamma_cx, log_gamma_cx, pochhammer)
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
                            _as_multiindex, ball_norm, ball_op)
 from .univariate import _I_POWERS, continuous_hahn, gegenbauer, jacobi, laguerre
@@ -59,9 +59,6 @@ __all__ = [
     "a_norm_rhs",
     "b_norm_rhs",
 ]
-
-_LOG2 = math.log(2.0)
-
 
 class FreqVector:
     """Real frequency vector; component j pairs with coordinate x_j, and
@@ -920,7 +917,7 @@ def a_norm_rhs(n: int, k, pp: ParsevalParams) -> float:
     _, lp = _signed_log_pochhammer(2 * k.total + pp.abs_b, m)
     log -= 2.0 * lp
     log += _axis_norm_log(k, pp)
-    return math.exp(log)
+    return _exp_in_range(log, "a_norm_rhs")
 
 
 def b_norm_rhs(n: int, k, pp: ParsevalParams) -> float:
@@ -944,4 +941,4 @@ def b_norm_rhs(n: int, k, pp: ParsevalParams) -> float:
     log -= math.log(2.0 * n + pp.abs_b + pp.abs_c - 1.0)
     log -= math.lgamma(n + k.total + pp.abs_b + pp.abs_c - 1.0)
     log += _axis_norm_log(k, pp)
-    return math.exp(log)
+    return _exp_in_range(log, "b_norm_rhs")

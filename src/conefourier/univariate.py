@@ -16,6 +16,7 @@ import numpy as np
 
 from .kernel import (
     DomainError,
+    _exp_in_range,
     _pfq_terminating,
     _signed_log_pochhammer,
     pochhammer,
@@ -76,7 +77,7 @@ def gegenbauer_norm(n: int, mu: float) -> float:
         sign = -sign  # sign of Gamma(mu) on (-1, 0)
     log_h = (log_poch - math.lgamma(n + 1) + math.lgamma(mu + 0.5)
              + 0.5 * math.log(math.pi) - math.log(abs(nm)) - math.lgamma(mu))
-    return sign * math.exp(log_h)
+    return sign * _exp_in_range(log_h, "gegenbauer_norm")
 
 
 def laguerre(n: int, alpha: float, t):
@@ -93,7 +94,8 @@ def laguerre_norm(n: int, alpha: float) -> float:
     n = _check_degree(n)
     if not alpha > -1.0:
         raise DomainError(f"laguerre_norm requires alpha > -1, got {alpha}")
-    return math.exp(math.lgamma(alpha + n + 1.0) - math.lgamma(n + 1.0))
+    return _exp_in_range(math.lgamma(alpha + n + 1.0) - math.lgamma(n + 1.0),
+                         "laguerre_norm")
 
 
 def jacobi(n: int, alpha: float, beta: float, t):
@@ -124,7 +126,7 @@ def jacobi_norm(n: int, alpha: float, beta: float) -> float:
              - math.lgamma(n + alpha + beta + 2.0) - math.lgamma(n + 1.0))
     if n > 0:
         log_h += math.log((n + alpha + beta + 1.0) / (2.0 * n + alpha + beta + 1.0))
-    return math.exp(log_h)
+    return _exp_in_range(log_h, "jacobi_norm")
 
 
 def continuous_hahn(k: int, x, a, b, c, d):

@@ -5,13 +5,16 @@ compares a closed-form value against an independently computed oracle
 (quadrature, dual evaluation route, or finite differences) and emits a
 structured report.  Individual failures are data, never crashes: oracle
 non-convergence comes back as a failed report carrying the reason.
+Every orthogonality check runs one quadrature of its inner product and
+judges it against closed-form norms; cone-orth against cone_norm.
 
 Tolerance policy (per identity class): algebraic identities compare two
 exact evaluation routes at rel 1e-11; single-integral quadrature checks
-run at rel 1e-10; two-dimensional Fourier integrals at 1e-6; Parseval
-integrals, products of one 1-d integral per axis, at 1e-5.  Off-diagonal
-orthogonality entries are judged by absolute error relative to the
-diagonal scale, since relative error at a true zero is meaningless.
+run at rel 1e-10; ball and cone inner products at 1e-8; two-dimensional
+Fourier integrals at 1e-6; Parseval integrals, products of one 1-d
+integral per axis, at 1e-5.  Off-diagonal orthogonality entries are
+judged by absolute error relative to the diagonal scale, since relative
+error at a true zero is meaningless.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .kernel import DomainError, pochhammer
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
                            _as_multiindex, _cube_to_ball, ball_norm, ball_op,
                            ball_weight, cone_inner_product_separated,
-                           jacobi_cone, laguerre_cone)
+                           cone_norm, jacobi_cone, laguerre_cone)
 from .quadrature import (NonConvergenceError, QuadratureConfig, fourier_num,
                          integrate_1d, integrate_tensor, parseval_lhs)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
@@ -114,13 +117,13 @@ def _report(id: str, params: dict, lhs, rhs, evals: int, seconds: float,
                        float(rel_err), tol, passed, seconds, int(evals), reason)
 
 
-def _orth(res, norm, k, l):
+def _orth(res, diagonal, h_k, h_l):
     """The row of an orthogonality integral res between the states k and
-    l (argument tuples of norm): the diagonal compares with norm(*k), an
-    off-diagonal with 0 on the scale sqrt(norm(*k) * norm(*l))."""
-    if k == l:
-        return res.value, norm(*k), None, res.evaluations
-    return res.value, 0.0, math.sqrt(norm(*k) * norm(*l)), res.evaluations
+    l, of squared norms h_k and h_l: the diagonal compares with h_k, an
+    off-diagonal with 0 on the scale sqrt(h_k * h_l)."""
+    if diagonal:
+        return res.value, h_k, None, res.evaluations
+    return res.value, 0.0, math.sqrt(h_k * h_l), res.evaluations
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +146,7 @@ def _check_gegenbauer_orth(params, cfg):
         lambda x: gegenbauer(n, mu, x) * gegenbauer(m, mu, x)
         * (1.0 - x * x) ** (mu - 0.5),
         (-1.0, 1.0), cfg or _CFG_1D)
-    return _orth(res, lambda n: gegenbauer_norm(n, mu), (n,), (m,))
+    return _orth(res, n == m, gegenbauer_norm(n, mu), gegenbauer_norm(m, mu))
 
 
 def _check_laguerre_orth(params, cfg):
@@ -160,7 +163,7 @@ def _check_laguerre_orth(params, cfg):
         return np.where(dead, 0.0, val)
 
     res = integrate_1d(integrand, (0.0, math.inf), cfg or _CFG_1D)
-    return _orth(res, lambda n: laguerre_norm(n, alpha), (n,), (m,))
+    return _orth(res, n == m, laguerre_norm(n, alpha), laguerre_norm(m, alpha))
 
 
 def _check_jacobi_orth(params, cfg):
@@ -170,7 +173,8 @@ def _check_jacobi_orth(params, cfg):
         lambda t: jacobi(n, alpha, beta, t) * jacobi(m, alpha, beta, t)
         * (1.0 - t) ** alpha * (1.0 + t) ** beta,
         (-1.0, 1.0), cfg or _CFG_1D)
-    return _orth(res, lambda n: jacobi_norm(n, alpha, beta), (n,), (m,))
+    return _orth(res, n == m, jacobi_norm(n, alpha, beta),
+                 jacobi_norm(m, alpha, beta))
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +206,7 @@ def _check_ball_orth(params, cfg):
                 * jac)
 
     res = integrate_tensor(integrand, [(-1.0, 1.0)] * k.d, cfg or _CFG_BALL)
-    return _orth(res, lambda k: ball_norm(k, mu), (k,), (l,))
+    return _orth(res, k == l, ball_norm(k, mu), ball_norm(l, mu))
 
 
 _FD_STEP = 1e-4
@@ -258,40 +262,26 @@ def _check_ball_eigen(params, cfg):
 
 
 # ----------------------------------------------------------------------
-# Cone orthogonality (separated iterated integral; diagonal rows compare
-# the primary rule against the adaptive-GK path, off-diagonals vanish)
+# Cone orthogonality (one separated iterated integral, judged against
+# the closed-form cone_norm)
 # ----------------------------------------------------------------------
-
-def _cone_state(family, params):
-    if family == "laguerre":
-        cone = LaguerreConeParams(float(params["beta"]), float(params["mu"]))
-        basis = lambda n, k: (lambda t, x: laguerre_cone(k, n, cone, (t, x)))
-    else:
-        cone = JacobiConeParams(float(params["beta"]), float(params["mu"]),
-                                float(params["gamma"]))
-        basis = lambda n, k: (lambda t, x: jacobi_cone(k, n, cone, (t, x)))
-    return cone, basis
-
 
 def _check_cone_orth(family, params, cfg):
     n, m = int(params["n"]), int(params["m"])
     k = _as_multiindex(params["k"])
     l = _as_multiindex(params["l"])
-    cone, basis = _cone_state(family, params)
-    base = cfg or _CFG_CONE
-
-    def inner(p, q, rule_cfg=base):
-        return cone_inner_product_separated(basis(*p), basis(*q), k.d, cone,
-                                            rule_cfg)
-
-    res = inner((n, k), (m, l))
-    norm = lambda *p: abs(inner(p, p).value)
-    if (n, k) == (m, l):
-        # the diagonal's reference is the adaptive-GK run of the same integral
-        gk = inner((n, k), (m, l), replace(base, rule="adaptive-GK"))
-        res = replace(res, evaluations=res.evaluations + gk.evaluations)
-        norm = lambda *p: gk.value
-    return _orth(res, norm, (n, k), (m, l))
+    if family == "laguerre":
+        cone = LaguerreConeParams(float(params["beta"]), float(params["mu"]))
+        basis = laguerre_cone
+    else:
+        cone = JacobiConeParams(float(params["beta"]), float(params["mu"]),
+                                float(params["gamma"]))
+        basis = jacobi_cone
+    h_k, h_l = cone_norm(k, n, cone), cone_norm(l, m, cone)
+    res = cone_inner_product_separated(
+        lambda t, x: basis(k, n, cone, (t, x)),
+        lambda t, x: basis(l, m, cone, (t, x)), k.d, cone, cfg or _CFG_CONE)
+    return _orth(res, (n, k) == (m, l), h_k, h_l)
 
 
 # ----------------------------------------------------------------------
@@ -381,9 +371,10 @@ def _check_parseval(family, params, cfg):
         raise DomainError("parseval checks need multiindices of equal dimension")
     pp = _parseval_params(params)
     norm = a_norm_rhs if family == "a" else b_norm_rhs
+    h_k, h_l = norm(n, k, pp), norm(m, l, pp)
     res = parseval_lhs(_orthogonality_integrand(family, n, k, m, l, pp),
                        cfg=cfg or _CFG_PARSEVAL)
-    return _orth(res, lambda n, k: norm(n, k, pp), (n, k), (m, l))
+    return _orth(res, (n, k) == (m, l), h_k, h_l)
 
 
 # ----------------------------------------------------------------------
@@ -445,8 +436,8 @@ _CATALOG = {
     "jacobi-orth": (_check_jacobi_orth, 1e-10),
     "ball-orth": (_check_ball_orth, 1e-8),
     "ball-eigen": (_check_ball_eigen, 1e-4),
-    "cone-orth-laguerre": (partial(_check_cone_orth, "laguerre"), 1e-6),
-    "cone-orth-jacobi": (partial(_check_cone_orth, "jacobi"), 1e-6),
+    "cone-orth-laguerre": (partial(_check_cone_orth, "laguerre"), 1e-8),
+    "cone-orth-jacobi": (partial(_check_cone_orth, "jacobi"), 1e-8),
     "ft-f": (_check_ft_f, 1e-6),
     "ft-g-laguerre": (_check_ft_g_laguerre, 1e-6),
     "ft-g-jacobi": (_check_ft_g_jacobi, 1e-6),
@@ -510,7 +501,7 @@ def _states_d1(n_max: int):
 def default_grids(seed: int = 0) -> dict:
     """Curated smoke-scale parameter grids, one list per identity.
     Deterministic for a given seed (the sweeps draw from a fixed-seed
-    generator); the full suite runs in a few seconds."""
+    generator); the full suite runs in about a second."""
     rng = np.random.default_rng(seed)
     grids: dict[str, list] = {}
 
@@ -533,13 +524,15 @@ def default_grids(seed: int = 0) -> dict:
         {"k": (2, 1), "mu": 0.7, "x": tuple(round(float(v), 6) for v in p)}
         for p in pts]
 
-    cone_states = _states_d1(1)
+    # every pair of the d = 1 states of degree <= 1, and of two d = 2 states
+    cone_pairs = [(p, q) for states in (_states_d1(1), [(1, (1, 0)), (1, (0, 1))])
+                  for p in states for q in states]
     grids["cone-orth-laguerre"] = [
         {"n": n, "k": k, "m": m, "l": l, "beta": 0.5, "mu": 0.9}
-        for (n, k) in cone_states for (m, l) in cone_states]
+        for (n, k), (m, l) in cone_pairs]
     grids["cone-orth-jacobi"] = [
         {"n": n, "k": k, "m": m, "l": l, "beta": 0.4, "mu": 0.7, "gamma": 0.6}
-        for (n, k) in cone_states for (m, l) in cone_states]
+        for (n, k), (m, l) in cone_pairs]
 
     # a = 0.75 keeps the endpoint exponent a - 1 comfortably above the
     # oscillatory accuracy wall at the default Fourier tolerance

@@ -113,6 +113,13 @@ def test_check_domain_error_exit_3(capsys):
     assert "-1/2" in err
 
 
+def test_check_norm_past_double_range_exit_3(capsys):
+    code, _, err = run_cli(capsys, "check", "parseval-a", "a1=48", "a2=36",
+                           "b1=54", "b2=42", "n=0", "k=0", "m=0", "l=0")
+    assert code == 3
+    assert "double range" in err
+
+
 def test_check_failure_exit_1(tmp_path, capsys):
     cfg = tmp_path / "strict.json"
     cfg.write_text(json.dumps({

@@ -11,7 +11,8 @@ from scipy import special as sp
 
 from conefourier import (DomainError, JacobiConeParams, LaguerreConeParams,
                          MultiIndex, ball_norm, ball_op, ball_weight,
-                         cone_basis, cone_inner_product_separated, jacobi,
+                         cone_basis, cone_inner_product_separated, cone_norm,
+                         jacobi,
                          jacobi_cone, laguerre, laguerre_cone,
                          space_dimension)
 from conftest import (ball_inner_oracle, cone_jacobi_inner_oracle,
@@ -240,3 +241,48 @@ def test_cone_inner_product_jacobi_diagonal():
     oracle = cone_jacobi_inner_oracle(2, 1, 2, 1, beta, mu, gamma)
     assert oracle > 0
     assert res.value == pytest.approx(oracle, rel=1e-7)
+
+
+# --------------------------------------------------------------- cone norms
+
+_LAG = LaguerreConeParams(0.5, 0.9)
+_JAC = JacobiConeParams(0.5, 0.9, 0.6)
+
+
+def test_cone_norm_matches_separated_oracles_d1():
+    # the 10 states n <= 3 of test_03, against the scipy Gauss rules
+    for n in range(4):
+        for k in range(n + 1):
+            assert cone_norm((k,), n, _LAG) == pytest.approx(
+                cone_laguerre_inner_oracle(n, k, n, k, 0.5, 0.9), rel=1e-13)
+            assert cone_norm((k,), n, _JAC) == pytest.approx(
+                cone_jacobi_inner_oracle(n, k, n, k, 0.5, 0.9, 0.6),
+                rel=1e-13)
+
+
+@pytest.mark.parametrize("n,k", [(0, (0, 0)), (1, (1, 0)), (1, (0, 1)),
+                                 (2, (1, 1)), (3, (1, 0)), (3, (0, 2))])
+def test_cone_norm_is_ball_oracle_times_radial_gauss_d2(n, k):
+    # in x = t y the squared basis element is q(t)^2 t^(2|k|) P_k(y)^2, so
+    # the norm is the ball norm times a radial integral of weight t^alpha
+    # e^-t, or t^alpha (1-t)^gamma, alpha = 2|k| + 2mu + beta + 1
+    m = sum(k)
+    ball = ball_inner_oracle(k, k, 0.9)
+    alpha = 2 * m + 2 * 0.9 + 0.5 + 1
+    tq, tw = sp.roots_genlaguerre(n - m + 2, alpha)
+    radial = tw @ sp.eval_genlaguerre(n - m, alpha, tq) ** 2
+    assert cone_norm(k, n, _LAG) == pytest.approx(ball * radial, rel=1e-13)
+    sq, sw = sp.roots_jacobi(n - m + 2, alpha, 0.6)
+    radial = (sw @ sp.eval_jacobi(n - m, alpha, 0.6, sq) ** 2
+              * 2.0 ** (-alpha - 0.6 - 1))
+    assert cone_norm(k, n, _JAC) == pytest.approx(ball * radial, rel=1e-13)
+
+
+def test_cone_norm_domain_errors():
+    for params in (_LAG, _JAC):
+        with pytest.raises(DomainError):
+            cone_norm((1, 1), 1, params)  # n < |k|
+    with pytest.raises(DomainError):
+        cone_norm((0, 0), 0, LaguerreConeParams(-2.0, 0.9))  # beta <= -d
+    with pytest.raises(DomainError):
+        cone_norm((0,), 0, JacobiConeParams(-1.0, 0.9, 0.6))

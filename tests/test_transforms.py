@@ -17,11 +17,12 @@ import conefourier.kernel as kernel
 import conefourier.transforms as transforms
 import conefourier.univariate as univariate
 
-from conefourier import (DomainError, FreqVector, MultiIndex, ParsevalParams,
+from conefourier import (DomainError, FreqVector, JacobiConeParams,
+                         LaguerreConeParams, MultiIndex, ParsevalParams,
                          PoleError, QuadratureConfig, TransformParamsJacobi,
                          TransformParamsLaguerre, a_family, a_family_factors,
                          a_norm_rhs, b_family, b_family_factors, b_norm_rhs,
-                         ball_norm, f_d, f_d_via_g1,
+                         ball_norm, cone_norm, f_d, f_d_via_g1,
                          f_d_via_g2, fourier_num, ft_f_closed,
                          ft_g_jacobi_closed, ft_g_laguerre_closed, g_jacobi,
                          g_laguerre, gamma_cx, lambda_factor, theta_hahn,
@@ -648,15 +649,18 @@ _K = (2, 1)
 
 
 def _params(s):
-    """The evaluators' parameters, with a, b, c and the Parseval pairs
-    scaled by s: s = 120 and 250 put Gamma(b) of the cone transforms and
-    Gamma(2a) of the theta factors past overflow."""
+    """The evaluators' parameters, with a, b, c, the Parseval pairs and
+    the cone norms' beta scaled by s: s = 120 and 250 put Gamma(b) of the
+    cone transforms, Gamma(2a) of the theta factors and both Parseval
+    norms past overflow, and s = 250 the Laguerre cone norm."""
     return {"a": 0.8 * s,
             "lag": TransformParamsLaguerre(0.7 * s, 1.2 * s, 0.5, 0.9),
             "jac": TransformParamsJacobi(0.8 * s, 1.1 * s, 0.9 * s, 0.4, 0.7,
                                          0.6),
             "pp": ParsevalParams(0.8 * s, 0.6 * s, 0.9 * s, 0.7 * s, 1.1 * s,
-                                 0.5 * s)}
+                                 0.5 * s),
+            "cones": (LaguerreConeParams(0.9 * s, 0.9),
+                      JacobiConeParams(0.9 * s, 0.7, 0.6))}
 
 
 def _factor_calls(factors):
@@ -693,6 +697,12 @@ _EVALUATORS = {
         partial(ft_g_laguerre_closed, _K, 4, p["lag"], (x, xi, t))],
     "ft_g_jacobi_closed": lambda t, x, xi, u, form, p: [
         partial(ft_g_jacobi_closed, _K, 4, p["jac"], (x, xi, t))],
+    "a_norm_rhs": lambda t, x, xi, u, form, p: [
+        partial(a_norm_rhs, 4, _K, p["pp"])],
+    "b_norm_rhs": lambda t, x, xi, u, form, p: [
+        partial(b_norm_rhs, 4, _K, p["pp"])],
+    "cone_norm": lambda t, x, xi, u, form, p: [
+        partial(cone_norm, _K, 4, cone) for cone in p["cones"]],
 }
 
 _FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)

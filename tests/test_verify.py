@@ -12,10 +12,11 @@ import conefourier.quadrature as quadrature
 import conefourier.transforms as transforms
 import conefourier.univariate as univariate
 import conefourier.verify as verify
-from conefourier import (DomainError, MultiIndex, NonConvergenceError,
-                         ParsevalParams, QuadratureConfig, a_family,
-                         a_family_factors, b_family, b_family_factors,
-                         check_identity, default_grids, gamma_cx,
+from conefourier import (DomainError, LaguerreConeParams, MultiIndex,
+                         NonConvergenceError, ParsevalParams, QuadratureConfig,
+                         a_family, a_family_factors, b_family,
+                         b_family_factors, check_identity, cone_norm,
+                         default_grids, gamma_cx,
                          integrate_1d, integrate_tensor, run_suite)
 from conefourier.transforms import _orthogonality_integrand
 
@@ -140,6 +141,47 @@ def test_failure_isolation(monkeypatch):
     outcomes = {r.id: r.passed for r in perturbed}
     assert outcomes == {"gegenbauer-orth": True, "laguerre-orth": False,
                         "jacobi-orth": True}
+
+
+def test_cone_orth_runs_one_quadrature_per_check(monkeypatch):
+    # cone_inner_product_separated imports integrate_tensor at call time,
+    # so the count sees every quadrature a check makes
+    calls = []
+    tensor = quadrature.integrate_tensor
+    monkeypatch.setattr(quadrature, "integrate_tensor",
+                        lambda *args: calls.append(1) or tensor(*args))
+    result = run_suite(["cone-orth-laguerre", "cone-orth-jacobi"])
+    assert all(r.passed for r in result)
+    assert len(calls) == len(result) == 26
+    assert any(len(r.params_dict()["k"]) == 2 for r in result)
+
+
+@pytest.mark.parametrize("n,k,m,l", [(1, (1,), 1, (1,)), (1, (0,), 0, (0,))],
+                         ids=["diagonal", "off-diagonal"])
+def test_cone_orth_under_gk_is_judged_against_cone_norm(n, k, m, l):
+    # the check's one integral goes through adaptive-GK when cfg asks for
+    # it, and is then judged against the closed-form norm
+    params = {"n": n, "k": k, "m": m, "l": l, "beta": 0.5, "mu": 0.9}
+    rep = check_identity("cone-orth-laguerre", params,
+                         QuadratureConfig(rule="adaptive-GK"))
+    assert rep.passed
+    if (n, k) == (m, l):
+        assert rep.rhs == cone_norm(k, n, LaguerreConeParams(0.5, 0.9))
+    else:
+        assert rep.rhs == 0.0
+
+
+@pytest.mark.parametrize("scale", [60.0, 120.0])
+@pytest.mark.parametrize("family", ["a", "b"])
+def test_parseval_norm_past_double_range_raises(family, scale):
+    # the norms are taken before the integral, so the check raises
+    # DomainError without integrating or overflowing on the way
+    params = {"n": 0, "k": (0,), "m": 0, "l": (0,),
+              **{key: scale * v for key, v in _PP_ARGS.items()}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="double range"):
+            check_identity(f"parseval-{family}", params)
 
 
 @pytest.mark.parametrize("family", ["a", "b"])
