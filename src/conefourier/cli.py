@@ -385,7 +385,7 @@ def _lookup(name: str):
 # RunConfig
 # ----------------------------------------------------------------------
 
-_QUAD_KEYS = ("rule", "abs_tol", "rel_tol", "max_levels", "truncation_radius")
+_QUAD_KEYS = ("rule", "abs_tol", "rel_tol", "max_levels")
 _CONFIG_KEYS = ("quadrature", "grids", "out", "format", "seed")
 
 
@@ -471,8 +471,7 @@ def config_to_json(cfg: RunConfig) -> str:
         q = cfg.quadrature
         doc["quadrature"] = {
             "rule": q.rule, "abs_tol": q.abs_tol, "rel_tol": q.rel_tol,
-            "max_levels": q.max_levels,
-            "truncation_radius": q.truncation_radius}
+            "max_levels": q.max_levels}
     if cfg.grids is not None:
         doc["grids"] = {
             ident: [{k: list(v) if isinstance(v, tuple) else v

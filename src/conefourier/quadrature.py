@@ -40,6 +40,10 @@ _RULES = ("double-exponential", "adaptive-GK")
 # double-exponential quadrature stops resolving the oscillation.
 MAX_FREQUENCY = 8.0
 
+# The adaptive-GK rule cuts an infinite end of an interval this far past
+# its finite end, or at -60 and 60 on the whole line.
+_TRUNCATION_RADIUS = 60.0
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -47,14 +51,12 @@ class QuadratureConfig:
 
     max_levels bounds the tanh-sinh level-doubling ladder; under the
     adaptive-GK rule the same field bounds the subdivision budget (the
-    interval limit is 2^max_levels, capped at 4096).  truncation_radius
-    truncates infinite tails under the GK path only.
+    interval limit is 2^max_levels, capped at 4096).
     """
     rule: str = "double-exponential"
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_levels: int = 12
-    truncation_radius: float = 60.0
 
     def __post_init__(self):
         if self.rule not in _RULES:
@@ -63,8 +65,6 @@ class QuadratureConfig:
             raise DomainError("tolerances must be positive")
         if self.max_levels < 3:
             raise DomainError("max_levels must be at least 3")
-        if not self.truncation_radius > 0.0:
-            raise DomainError("truncation_radius must be positive")
 
     def tightened(self, factor: float) -> "QuadratureConfig":
         return replace(self, abs_tol=self.abs_tol * factor, rel_tol=self.rel_tol * factor)
@@ -286,11 +286,12 @@ def _gk_eval(f, a: float, b: float):
     return k, np.abs(k - g)
 
 
-def _gk_truncate(a: float, b: float, radius: float):
-    """Infinite ends move `radius` past the finite end, or to -radius and
-    radius when both are infinite."""
-    lo = a if math.isfinite(a) else (b if math.isfinite(b) else 0.0) - radius
-    hi = b if math.isfinite(b) else (a if math.isfinite(a) else 0.0) + radius
+def _gk_truncate(a: float, b: float):
+    """Infinite ends move _TRUNCATION_RADIUS past the finite end, or past
+    0 when both are infinite."""
+    R = _TRUNCATION_RADIUS
+    lo = a if math.isfinite(a) else (b if math.isfinite(b) else 0.0) - R
+    hi = b if math.isfinite(b) else (a if math.isfinite(a) else 0.0) + R
     return lo, hi
 
 
@@ -299,7 +300,7 @@ def _gk_integrate(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResul
     which always splits the interval with the largest row error."""
     import heapq
 
-    a, b = _gk_truncate(a, b, cfg.truncation_radius)
+    a, b = _gk_truncate(a, b)
     limit = min(2 ** cfg.max_levels, 4096)
     val, err = _gk_eval(f, a, b)
     heap = [(-np.max(err), 0, a, b, val, err)]
@@ -444,7 +445,7 @@ def _fourier_axes(xi, t_axis):
         raise DomainError(
             f"fourier_num rejects |xi| > {MAX_FREQUENCY}: Gamma-type decay makes "
             "such values numerically uninformative")
-    if t_axis not in (None, "laguerre", "jacobi"):
+    if t_axis not in (None, "laguerre"):
         raise DomainError(f"unknown t_axis {t_axis!r}")
     return xi
 
@@ -455,9 +456,10 @@ def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
 
         int exp(-i <xi, x>) f(x1, ..., xn) dx
 
-    over the whole space.  Every x-axis is mapped through u = tanh(x); with
-    t_axis set, the LAST axis is a cone t-axis instead, substituted
-    u = e^t then v = u/(1+u) ("laguerre") or u = (1+tanh t)/2 ("jacobi").
+    over the whole space.  Every axis is mapped through x = c atanh(u) on
+    u in (-1, 1), with Jacobian c / ((1 - u)(1 + u)): c = 1, except c = 2
+    on the LAST axis when t_axis="laguerre" marks it as a Laguerre cone
+    t-axis, whose left tail decays only like e^{(b + |k|) t}.
     f takes the axes in the same order as xi, one coordinate array per
     axis, all of one shape, and must return an array of that shape.
     |xi| components above 8 are rejected.
@@ -472,33 +474,20 @@ def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
     cross_check = cfg.rule == "adaptive-GK"
     xi = _fourier_axes(xi, t_axis)
     dims = len(xi)
-    n_x = dims - 1 if t_axis else dims
+    scales = [1.0] * (dims - 1) + [2.0 if t_axis else 1.0]
 
     def integrand(*us):
         coords = []
         jac = 1.0
         phase = 0.0
-        for j in range(n_x):
-            u = us[j]
-            x = np.arctanh(u)
+        for u, c, v in zip(us, scales, xi):
+            x = c * np.arctanh(u)
             coords.append(x)
-            jac = jac / ((1.0 - u) * (1.0 + u))
-            phase = phase + xi[j] * x
-        if t_axis == "laguerre":
-            v = us[-1]
-            t = np.log(v) - np.log1p(-v)  # t = ln(v/(1-v))
-            coords.append(t)
-            jac = jac / (v * (1.0 - v))
-            phase = phase + xi[-1] * t
-        elif t_axis == "jacobi":
-            u = us[-1]
-            t = 0.5 * (np.log(u) - np.log1p(-u))  # atanh(2u - 1)
-            coords.append(t)
-            jac = jac / (2.0 * u * (1.0 - u))
-            phase = phase + xi[-1] * t
+            jac = jac * c / ((1.0 - u) * (1.0 + u))
+            phase = phase + v * x
         return f(*coords) * np.exp(-1j * phase) * jac
 
-    boxes = [(-1.0, 1.0)] * n_x + ([(0.0, 1.0)] if t_axis else [])
+    boxes = [(-1.0, 1.0)] * dims
     de_cfg = replace(cfg, rule="double-exponential")
     try:
         primary = integrate_tensor(integrand, boxes, de_cfg)
@@ -509,16 +498,13 @@ def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
     if not cross_check:
         return primary
 
-    R = cfg.truncation_radius
-
     def raw(*coords):
         phase = sum(x * v for x, v in zip(xi, coords))
         return f(*coords) * np.exp(-1j * phase)
 
     gk_cfg = replace(cfg, rule="adaptive-GK")
-    gk_boxes = [(-R, R)] * dims
     try:
-        check = integrate_tensor(raw, gk_boxes, gk_cfg)
+        check = integrate_tensor(raw, [(-math.inf, math.inf)] * dims, gk_cfg)
     except NonConvergenceError as exc:
         check = exc.result
     disagree = abs(primary.value - check.value) > 10.0 * (

@@ -28,8 +28,8 @@ import numpy as np
 
 from .kernel import DomainError, pochhammer
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
-                           _as_multiindex, _cube_to_ball, ball_norm, ball_op,
-                           ball_weight, cone_inner_product_separated,
+                           _T_TAIL_CUTOFF, _as_multiindex, _cube_to_ball,
+                           ball_norm, ball_op, cone_inner_product_separated,
                            cone_norm, jacobi_cone, laguerre_cone)
 from .quadrature import (NonConvergenceError, QuadratureConfig, fourier_num,
                          integrate_1d, integrate_tensor, parseval_lhs)
@@ -154,9 +154,9 @@ def _check_laguerre_orth(params, cfg):
 
     def integrand(t):
         # exp-sinh probes t where t^n overflows against e^-t; the true
-        # product is below 1e-230 past t = 600
+        # product is below 1e-230 past the cutoff
         t = np.asarray(t, dtype=np.float64)
-        dead = t > 600.0
+        dead = t > _T_TAIL_CUTOFF
         ts = np.where(dead, 1.0, t)
         val = (laguerre(n, alpha, ts) * laguerre(m, alpha, ts)
                * ts ** alpha * np.exp(-ts))
@@ -181,15 +181,6 @@ def _check_jacobi_orth(params, cfg):
 # Ball basis
 # ----------------------------------------------------------------------
 
-# Deep tanh-sinh levels place nodes within 3e-15 of the ball boundary,
-# under ball_op's partial-norm guard.  Shrinking such points radially
-# onto ||x||^2 = 1 - 1e-12 keeps every partial norm clear of the guard
-# (partial sums never exceed the full norm) and perturbs the integral
-# by O(1e-15): the displaced nodes carry double-exponentially small
-# quadrature weight.
-_NSQ_LIMIT = 1.0 - 1e-12
-
-
 def _check_ball_orth(params, cfg):
     k = _as_multiindex(params["k"])
     l = _as_multiindex(params["l"])
@@ -198,12 +189,8 @@ def _check_ball_orth(params, cfg):
         raise DomainError("ball-orth needs multiindices of equal dimension")
 
     def integrand(*s):
-        y, jac, _ = _cube_to_ball(s)
-        nsq = sum(v * v for v in y)
-        shrink = np.sqrt(_NSQ_LIMIT / np.maximum(nsq, _NSQ_LIMIT))
-        c = [v * shrink for v in y]
-        return (ball_op(k, mu, c) * ball_op(l, mu, c) * ball_weight(mu, c)
-                * jac)
+        y, jac, rest = _cube_to_ball(s)
+        return ball_op(k, mu, y) * ball_op(l, mu, y) * rest ** (mu - 0.5) * jac
 
     res = integrate_tensor(integrand, [(-1.0, 1.0)] * k.d, cfg or _CFG_BALL)
     return _orth(res, k == l, ball_norm(k, mu), ball_norm(l, mu))
@@ -327,7 +314,7 @@ def _check_ft_g_jacobi(params, cfg):
     xi = FreqVector(params["xi"])
     return _fourier_row(ft_g_jacobi_closed(k, n, tp, xi),
                         lambda *cs: g_jacobi(cs[-1], cs[:-1], k, n, tp),
-                        xi, cfg, "jacobi")
+                        xi, cfg)
 
 
 def _check_theta_dual(params, cfg):

@@ -449,6 +449,14 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
     assert code == 2
     assert "unknown quadrature key" in err
 
+    # the GK truncation radius is a module constant, not a setting
+    bad3 = tmp_path / "bad3.json"
+    bad3.write_text(json.dumps({"quadrature": {"truncation_radius": 60}}))
+    code, _, err = run_cli(capsys, "suite", "--ids", "theta-dual",
+                           "--config", str(bad3))
+    assert code == 2
+    assert "unknown quadrature key" in err
+
 
 def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:

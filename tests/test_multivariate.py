@@ -17,6 +17,7 @@ from conefourier import (DomainError, JacobiConeParams, LaguerreConeParams,
                          space_dimension)
 from conftest import (ball_inner_oracle, cone_jacobi_inner_oracle,
                       cone_laguerre_inner_oracle)
+from conefourier.multivariate import _cube_to_ball
 
 
 # ------------------------------------------------------------ MultiIndex
@@ -85,6 +86,18 @@ def test_ball_op_partial_norm_guard():
         ball_op((0, 2), 0.8, (x1, 0.0))
     # no division needed: the same point is fine for k = (2, 0)
     ball_op((2, 0), 0.8, (x1, 0.0))
+
+
+@pytest.mark.parametrize("signs", itertools.product((1.0, -1.0), repeat=3))
+def test_cube_to_ball_points_clear_the_partial_norm_guard(signs):
+    # a cube node next to s_1 = +-1 maps within 1e-15 of the sphere; the
+    # map shrinks it off the guard, and the weight base 1 - ||y||^2 stays
+    # the exact product of the cube factors
+    s = [sg * v for sg, v in zip(signs, (1.0 - 1e-15, 0.5, 0.3))]
+    y, _, rest = _cube_to_ball([np.array([v]) for v in s])
+    for k in [(0, 0, 1), (0, 1, 1)]:
+        assert np.all(np.isfinite(ball_op(k, 0.7, y)))
+    assert rest == math.prod((1.0 - v) * (1.0 + v) for v in s)
 
 
 def test_ball_norm_constant_case():

@@ -280,6 +280,13 @@ def test_fourier_rejects_large_frequency():
         fourier_num(lambda x, y: np.exp(-x * x - y * y), (0.5, -8.5))
 
 
+def test_fourier_t_axis_is_laguerre_or_none():
+    # a Jacobi t-axis is a plain x-axis: it takes no t_axis
+    with pytest.raises(DomainError):
+        fourier_num(lambda x, t: np.exp(-x * x - t * t), (0.0, 0.0),
+                    t_axis="jacobi")
+
+
 def test_fourier_cross_check_agrees():
     cfg = QuadratureConfig(rule="adaptive-GK", abs_tol=1e-6, rel_tol=1e-6)
     res = fourier_num(lambda x: 1.0 / np.cosh(x), 0.5, cfg)

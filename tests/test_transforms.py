@@ -497,7 +497,7 @@ def test_ft_g_jacobi_separable_case():
     closed = ft_g_jacobi_closed((0,), 0, tp, FreqVector((0.0, 0.0)))
     assert abs(closed - 2 * math.pi) < 1e-13
     res = fourier_num(lambda x, t: g_jacobi(t, (x,), (0,), 0, tp),
-                      (0.0, 0.0), CFG_FT, t_axis="jacobi")
+                      (0.0, 0.0), CFG_FT)
     assert abs(closed - res.value) < 1e-6 * abs(res.value)
 
 
@@ -506,7 +506,7 @@ def test_ft_g_jacobi_matches_numerical():
     xi = (0.3, 1.4)
     closed = ft_g_jacobi_closed((1,), 2, tp, FreqVector(xi))
     res = fourier_num(lambda x, t: g_jacobi(t, (x,), (1,), 2, tp), xi,
-                      CFG_FT, t_axis="jacobi")
+                      CFG_FT)
     assert abs(closed - res.value) < 1e-6 * abs(res.value)
 
 
