@@ -7,12 +7,11 @@ library claims.
 from .kernel import (Cx, DomainError, PoleError, beta_cx, gamma_cx,
                      log_gamma_cx, pochhammer)
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
-                           ball_norm, ball_op, ball_weight, cone_basis,
-                           cone_inner_product_separated, cone_norm, jacobi_cone,
-                           laguerre_cone, space_dimension)
+                           ball_norm, ball_op, cone_basis, cone_norm,
+                           jacobi_cone, laguerre_cone)
 from .quadrature import (IntegralResult, NonConvergenceError,
                          QuadratureConfig, fourier_num, integrate_1d,
-                         integrate_tensor, parseval_lhs)
+                         integrate_tensor)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
                          TransformParamsLaguerre, a_family,
                          a_family_factors, a_norm_rhs, b_family,
@@ -30,11 +29,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Cx", "DomainError", "PoleError",
     "beta_cx", "gamma_cx", "log_gamma_cx", "pochhammer",
-    "JacobiConeParams", "LaguerreConeParams", "MultiIndex", "ball_norm", "ball_op", "ball_weight", "cone_basis",
-    "cone_inner_product_separated", "cone_norm", "jacobi_cone", "laguerre_cone",
-    "space_dimension",
+    "JacobiConeParams", "LaguerreConeParams", "MultiIndex", "ball_norm", "ball_op", "cone_basis",
+    "cone_norm", "jacobi_cone", "laguerre_cone",
     "IntegralResult", "NonConvergenceError", "QuadratureConfig",
-    "fourier_num", "integrate_1d", "integrate_tensor", "parseval_lhs",
+    "fourier_num", "integrate_1d", "integrate_tensor",
     "FreqVector", "ParsevalParams", "TransformParamsJacobi",
     "TransformParamsLaguerre", "a_family", "a_family_factors", "a_norm_rhs",
     "b_family", "b_family_factors", "b_norm_rhs", "f_d", "f_d_via_g1", "f_d_via_g2", "ft_f_closed",

@@ -1,6 +1,7 @@
 """Multi-index machinery, the orthogonal basis on the unit ball with its
 norm constants, and the Laguerre/Jacobi bases on the cone
-V^{d+1} = {(t, x) : ||x|| <= t}.
+V^{d+1} = {(t, x) : ||x|| <= t}, with the one-variable factors that both
+bases are products of.
 
 Point arguments are d coordinates; each coordinate may be a scalar or an
 array (all broadcasting together), so basis evaluation vectorizes over
@@ -21,23 +22,18 @@ __all__ = [
     "MultiIndex",
     "LaguerreConeParams",
     "JacobiConeParams",
-    "space_dimension",
-    "ball_weight",
     "ball_op",
     "ball_norm",
     "cone_basis",
     "laguerre_cone",
     "jacobi_cone",
     "cone_norm",
-    "cone_inner_product_separated",
 ]
 
 # ball_op rejects points whose partial-norm complement is below this when
 # a division by sqrt(1 - ||x_{j-1}||^2) is required; the analytic factor
 # annihilates the singularity but the floating composition does not.
 PARTIAL_NORM_GUARD = 1e-14
-
-_BOUNDARY_SLACK = 1e-12
 
 # past this t the Laguerre-weighted cone integrand is below 1e-230 for
 # every parameter set the library accepts, but computing it in floating
@@ -144,32 +140,12 @@ class JacobiConeParams:
             raise DomainError(f"requires beta > -d = {-d}, got beta = {self.beta}")
 
 
-def space_dimension(n: int, d: int) -> int:
-    """Dimension of the space of orthogonal polynomials of total degree n
-    in d variables: binomial(n+d-1, n)."""
-    if n < 0 or d < 1:
-        raise DomainError(f"space_dimension requires n >= 0, d >= 1, got {n}, {d}")
-    return math.comb(n + d - 1, n)
-
-
 def _coords(p, d: int):
     """Extract d coordinate arrays from a sequence or array."""
     coords = [np.asarray(c, dtype=np.float64) for c in p]
     if len(coords) != d:
         raise DomainError(f"expected {d} coordinates, got {len(coords)}")
     return coords
-
-
-def ball_weight(mu: float, p):
-    """(1 - ||p||^2)^(mu - 1/2), the classical weight on the unit ball."""
-    coords = [np.asarray(c, dtype=np.float64) for c in p]
-    nsq = sum(c * c for c in coords)
-    comp = 1.0 - nsq
-    if mu < 0.5 and np.any(comp <= 0.0):
-        raise DomainError("ball_weight: ||p|| reaches 1 with mu < 1/2")
-    if np.any(comp < -_BOUNDARY_SLACK):
-        raise DomainError("ball_weight: point outside the unit ball")
-    return np.maximum(comp, 0.0) ** (mu - 0.5)
 
 
 def ball_op(k, mu: float, p):
@@ -200,6 +176,15 @@ def ball_op(k, mu: float, p):
         shape = np.broadcast_shapes(*[c.shape for c in coords])
         value = np.ones(shape, dtype=np.float64)
     return value if np.ndim(value) else float(value)
+
+
+def _ball_factor(k: MultiIndex, mu: float, j: int, s):
+    """Factor j of ball_op(k, mu, .) in the cube coordinates s of
+    y_j = s_j sqrt(1 - ||y_{<j}||^2): (1 - s^2)^(|k^{j+1}|/2)
+    C_{k_j}^(lambda_j)(s).  ball_op(k, mu, y(s)) is the product of the
+    factors j = 1..d, each at its own s_j."""
+    return (((1.0 - s) * (1.0 + s)) ** (k.tail(j + 1) / 2.0)
+            * gegenbauer(k[j - 1], k.lambda_j(j, mu), s))
 
 
 def ball_norm(k, mu: float) -> float:
@@ -240,6 +225,16 @@ def _cone_point(p, d: int):
     return t, coords
 
 
+def _t_factor(q, k: MultiIndex, n: int, mu: float, t):
+    """q_{n-m}^(alpha_m)(t) t^m with m = |k| and alpha_m = d + 2m + 2mu - 1,
+    the t factor of the cone basis element: the element at (t, t y) is
+    this times ball_op(k, mu, y)."""
+    m = k.total
+    if n < m:
+        raise DomainError(f"cone basis requires |k| <= n, got |k| = {m} > n = {n}")
+    return q(n - m, k.d + 2.0 * m + 2.0 * mu - 1.0, t) * t ** m
+
+
 def cone_basis(q, k, n: int, p, mu: float):
     """Generic cone basis element q_{n-m}^(alpha_m)(t) t^m P_k^mu(x/t)
     with m = |k| and alpha_m = d + 2m + 2mu - 1.
@@ -250,38 +245,40 @@ def cone_basis(q, k, n: int, p, mu: float):
     Jacobi one P^((alpha+beta, gamma)) at 1-2t).
     """
     k = _as_multiindex(k)
-    m = k.total
-    if n < m:
-        raise DomainError(f"cone basis requires |k| <= n, got |k| = {m} > n = {n}")
     t, coords = _cone_point(p, k.d)
-    alpha_m = k.d + 2.0 * m + 2.0 * mu - 1.0
-    radial = q(n - m, alpha_m, t)
-    return radial * t ** m * ball_op(k, mu, [c / t for c in coords])
+    return _t_factor(q, k, n, mu, t) * ball_op(k, mu, [c / t for c in coords])
+
+
+def _radial(params):
+    """The q of cone_basis for the Laguerre or Jacobi cone family."""
+    if isinstance(params, JacobiConeParams):
+        return lambda deg, alpha, t: jacobi(deg, alpha + params.beta,
+                                            params.gamma, 1.0 - 2.0 * t)
+    return lambda deg, alpha, t: laguerre(deg, alpha + params.beta, t)
 
 
 def laguerre_cone(k, n: int, params: LaguerreConeParams, p):
     """Laguerre cone basis L_{n-m}^(2m+2mu+beta+d-1)(t) t^m P_k^mu(x/t)."""
     k = _as_multiindex(k)
     params.validate_dimension(k.d)
-    return cone_basis(lambda deg, alpha, t: laguerre(deg, alpha + params.beta, t),
-                      k, n, p, params.mu)
+    return cone_basis(_radial(params), k, n, p, params.mu)
 
 
 def jacobi_cone(k, n: int, params: JacobiConeParams, p):
     """Jacobi cone basis P_{n-m}^((2m+2mu+beta+d-1, gamma))(1-2t) t^m P_k^mu(x/t)."""
     k = _as_multiindex(k)
     params.validate_dimension(k.d)
-    return cone_basis(lambda deg, alpha, t: jacobi(deg, alpha + params.beta,
-                                                   params.gamma, 1.0 - 2.0 * t),
-                      k, n, p, params.mu)
+    return cone_basis(_radial(params), k, n, p, params.mu)
 
 
 def cone_norm(k, n: int, params) -> float:
     """Squared norm of laguerre_cone(k, n, params, .) or jacobi_cone(k, n,
-    params, .) in cone_inner_product_separated: with m = |k| and alpha =
-    2m + 2mu + beta + d - 1, ball_norm(k, mu) times laguerre_norm(n - m,
-    alpha), or times 2^-(alpha+gamma+1) jacobi_norm(n - m, alpha, gamma)
-    (the radial integral in t = (1 - s)/2), assembled in log space."""
+    params, .) against the weight (t^2 - ||x||^2)^(mu-1/2) t^beta times
+    e^-t on ||x|| < t, or times (1-t)^gamma on ||x|| < t < 1: with
+    m = |k| and alpha = 2m + 2mu + beta + d - 1, ball_norm(k, mu) times
+    laguerre_norm(n - m, alpha), or times 2^-(alpha+gamma+1)
+    jacobi_norm(n - m, alpha, gamma) (the radial integral in
+    t = (1 - s)/2), assembled in log space."""
     k = _as_multiindex(k)
     params.validate_dimension(k.d)
     m = k.total
@@ -295,80 +292,3 @@ def cone_norm(k, n: int, params) -> float:
     else:
         log_h += math.log(laguerre_norm(n - m, alpha))
     return _exp_in_range(log_h, "cone_norm")
-
-
-# Deep tanh-sinh levels place cube nodes within 3e-15 of the sphere,
-# under ball_op's partial-norm guard.  Shrinking such points radially
-# onto ||y||^2 = 1 - 1e-12 keeps every partial norm clear of the guard
-# (partial sums never exceed the full norm) and perturbs an integral by
-# O(1e-15): the displaced nodes carry double-exponentially small
-# quadrature weight.
-_NSQ_LIMIT = 1.0 - 1e-12
-
-
-def _cube_to_ball(s):
-    """Map cube coordinates s in (-1, 1)^d onto the unit ball by
-    y_j = s_j sqrt(1 - ||y_{<j}||^2).  Returns (y, Jacobian, 1 - ||y||^2)
-    with y shrunk onto ||y||^2 <= _NSQ_LIMIT; the last is the product of
-    the (1 - s_j^2), taken before the shrink, so it stays positive and
-    accurate next to the sphere and a weight singular there stays exact."""
-    y = []
-    jac = 1.0
-    rest = 1.0  # 1 - ||y_{<j}||^2
-    for sj in s:
-        r = np.sqrt(rest)
-        y.append(sj * r)
-        jac = jac * r
-        rest = rest * ((1.0 - sj) * (1.0 + sj))
-    nsq = sum(v * v for v in y)
-    shrink = np.sqrt(_NSQ_LIMIT / np.maximum(nsq, _NSQ_LIMIT))
-    return [v * shrink for v in y], jac, rest
-
-
-def cone_inner_product_separated(f, g, d: int, params, cfg=None):
-    """Inner product of f and g over the cone, as the separated iterated
-    integral
-
-        int_0^T [ int_{B^d} f(t,ty) g(t,ty) (1-||y||^2)^(mu-1/2) dy ]
-                t^(d+2mu-1) w(t) dt,
-
-    with (T, w) = (inf, t^beta e^-t) for Laguerre parameters and
-    (1, t^beta (1-t)^gamma) for Jacobi parameters.  The ball integral
-    runs over the cube (-1, 1)^d, mapped onto the ball by
-    y_j = s_j sqrt(1 - ||y_{<j}||^2).
-
-    f and g take (t, x) where x is a length-d coordinate sequence; both
-    must be vectorized over coordinate arrays.  Returns the
-    IntegralResult from the quadrature oracle.
-    """
-    from .quadrature import QuadratureConfig, integrate_tensor
-
-    if cfg is None:
-        cfg = QuadratureConfig()
-    params.validate_dimension(d)
-    mu = params.mu
-    beta = params.beta
-    if isinstance(params, JacobiConeParams):
-        gamma = params.gamma
-        t_box = (0.0, 1.0)
-
-        def t_weight(t):
-            return t ** (d + 2.0 * mu - 1.0 + beta) * (1.0 - t) ** gamma
-    else:
-        t_box = (0.0, math.inf)
-
-        def t_weight(t):
-            return t ** (d + 2.0 * mu - 1.0 + beta) * np.exp(-t)
-
-    def integrand(t, *s):
-        y, jac, rest = _cube_to_ball(s)
-        # the exp-sinh t-ladder probes magnitudes where t^p overflows
-        # while e^-t underflows; the true product is below 1e-230 past
-        # t = 600, so those points are an exact zero instead of inf * 0
-        dead = t > _T_TAIL_CUTOFF
-        t = np.where(dead, 1.0, t)
-        x = [t * v for v in y]
-        value = f(t, x) * g(t, x) * rest ** (mu - 0.5) * jac * t_weight(t)
-        return np.where(dead, 0.0, value)
-
-    return integrate_tensor(integrand, [t_box] + [(-1.0, 1.0)] * d, cfg)

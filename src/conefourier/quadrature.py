@@ -1,8 +1,6 @@
 """Independent numerical oracle: tanh-sinh double-exponential quadrature
 with level doubling, adaptive Gauss-Kronrod as a cross-check, tensor
-iterated integration, numerical Fourier transforms, and the Parseval
-frequency integral of separable functions as a product of whole-line
-1-d integrals.
+iterated integration and numerical Fourier transforms.
 
 Nothing in this module calls the closed-form transforms; every operation
 consumes a raw integrand callable.  Integrands must be vectorized: they
@@ -10,7 +8,8 @@ are called on numpy arrays of abscissas and return arrays of matching
 shape.  Both 1-d rules are vector-valued: an integrand may return shape
 batch + (nodes,), and the rule integrates every row on one shared node
 set, converging only when every row does.  Tensor integration uses this
-to integrate the inner axes for all outer nodes of a level in one call.
+to integrate the inner axes for all outer nodes of a level in one call,
+and a separable integrand can stack its 1-d factors as rows of one call.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "integrate_1d",
     "integrate_tensor",
     "fourier_num",
-    "parseval_lhs",
 ]
 
 _RULES = ("double-exponential", "adaptive-GK")
@@ -436,7 +434,7 @@ def integrate_tensor(f, boxes, cfg: QuadratureConfig | None = None) -> IntegralR
 
 
 # ----------------------------------------------------------------------
-# Fourier transforms and the Parseval frequency integral
+# Fourier transforms
 # ----------------------------------------------------------------------
 
 def _fourier_axes(xi, t_axis):
@@ -514,40 +512,3 @@ def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
         max(primary.error_estimate, abs(primary.value - check.value)),
         primary.evaluations + check.evaluations,
         primary.converged and check.converged and not disagree)
-
-
-def parseval_lhs(f, cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """Raw frequency-space inner product of separable functions,
-
-        int F(xi) conj(G(xi)) dxi = prod_j int F_j(s) conj(G_j(s)) ds,
-
-    by Fubini, given as one vector-valued integrand: f(s) has shape
-    (n, s.size), n >= 1, and row j holds F_j(s) conj(G_j(s)).  All rows
-    share one whole-line rule, by default the sinh-sinh double-exponential
-    ladder, so f must return finite values (exact zeros where they
-    underflow) at nodes out to |s| ~ 1e299.  evaluations counts every row
-    at every node.
-
-    The error estimate bounds the product, prod(|v_j| + e_j) - prod |v_j|,
-    which stays honest when one row vanishes.  Raises NonConvergenceError
-    naming the first row that misses the tolerance contract.
-    """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    res = _integrate_1d_result(f, (-math.inf, math.inf), cfg)
-    values = np.atleast_1d(res.value)
-    errors = np.atleast_1d(res.error_estimate)
-    if not values.size:
-        raise DomainError("parseval_lhs needs at least one row")
-    value, bound, magnitude = 1.0 + 0.0j, 1.0, 1.0
-    for v, e in zip(values.tolist(), errors.tolist()):
-        value *= v
-        bound *= abs(v) + e
-        magnitude *= abs(v)
-    missed = np.flatnonzero(~_meets(errors, values, cfg))
-    result = IntegralResult(value, bound - magnitude,
-                            res.evaluations * values.size, not missed.size)
-    if missed.size:
-        raise NonConvergenceError(
-            f"parseval row {missed[0]} did not converge", result)
-    return result

@@ -807,7 +807,7 @@ def _family_value(family: str, t, x, k, n: int, pp: ParsevalParams,
 
 def _orthogonality_integrand(family: str, n: int, k: MultiIndex, m: int,
                              l: MultiIndex, pp: ParsevalParams):
-    """The parseval_lhs integrand of the (n, k) x (m, l) orthogonality
+    """The whole-line ladder integrand of the (n, k) x (m, l) orthogonality
     integral of family "a" or "b",
 
         int int w(t) Fam(it, ix; pp) Fam(-it, -ix; swapped pp) dt dx,

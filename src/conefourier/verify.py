@@ -5,16 +5,18 @@ compares a closed-form value against an independently computed oracle
 (quadrature, dual evaluation route, or finite differences) and emits a
 structured report.  Individual failures are data, never crashes: oracle
 non-convergence comes back as a failed report carrying the reason.
-Every orthogonality check runs one quadrature of its inner product and
-judges it against closed-form norms; cone-orth against cone_norm.
+Every orthogonality check judges its inner product against closed-form
+norms.  The ball, cone and Parseval inner products are separable, so
+each is the product of 1-d row integrals (_row_product), one batched
+ladder per interval; basis-factor certifies pointwise that the bases
+are the products of the factors those rows integrate.
 
 Tolerance policy (per identity class): algebraic identities compare two
 exact evaluation routes at rel 1e-11; single-integral quadrature checks
 run at rel 1e-10; ball and cone inner products at 1e-8; two-dimensional
-Fourier integrals at 1e-6; Parseval integrals, products of one 1-d
-integral per axis, at 1e-5.  Off-diagonal orthogonality entries are
-judged by absolute error relative to the diagonal scale, since relative
-error at a true zero is meaningless.
+Fourier integrals at 1e-6; Parseval integrals at 1e-5.  Off-diagonal
+orthogonality entries are judged by absolute error relative to the
+diagonal scale, since relative error at a true zero is meaningless.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ import numpy as np
 
 from .kernel import DomainError, pochhammer
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
-                           _T_TAIL_CUTOFF, _as_multiindex, _cube_to_ball,
-                           ball_norm, ball_op, cone_inner_product_separated,
-                           cone_norm, jacobi_cone, laguerre_cone)
-from .quadrature import (NonConvergenceError, QuadratureConfig, fourier_num,
-                         integrate_1d, integrate_tensor, parseval_lhs)
+                           _T_TAIL_CUTOFF, _as_multiindex, _ball_factor,
+                           _radial, _t_factor, ball_norm, ball_op, cone_norm,
+                           jacobi_cone, laguerre_cone)
+from .quadrature import (IntegralResult, NonConvergenceError, QuadratureConfig,
+                         _meets, fourier_num, integrate_1d)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
                          TransformParamsLaguerre, _orthogonality_integrand,
                          a_norm_rhs, b_norm_rhs, f_d, f_d_via_g1, f_d_via_g2,
@@ -112,6 +114,8 @@ def _report(id: str, params: dict, lhs, rhs, evals: int, seconds: float,
         rel_err = abs_err
     finite = (math.isfinite(lhs.real) and math.isfinite(lhs.imag)
               and math.isfinite(rhs.real) and math.isfinite(rhs.imag))
+    # an overflowed scale would divide any error down to 0
+    finite = finite and (scale is None or math.isfinite(scale))
     passed = bool(finite and not reason and rel_err <= tol)
     return CheckReport(id, _freeze_params(params), lhs, rhs, abs_err,
                        float(rel_err), tol, passed, seconds, int(evals), reason)
@@ -120,10 +124,50 @@ def _report(id: str, params: dict, lhs, rhs, evals: int, seconds: float,
 def _orth(res, diagonal, h_k, h_l):
     """The row of an orthogonality integral res between the states k and
     l, of squared norms h_k and h_l: the diagonal compares with h_k, an
-    off-diagonal with 0 on the scale sqrt(h_k * h_l)."""
+    off-diagonal with 0 on the scale sqrt(h_k) sqrt(h_l), which stays
+    finite where h_k h_l would overflow."""
     if diagonal:
         return res.value, h_k, None, res.evaluations
-    return res.value, 0.0, math.sqrt(h_k * h_l), res.evaluations
+    return res.value, 0.0, math.sqrt(h_k) * math.sqrt(h_l), res.evaluations
+
+
+def _pair(params):
+    """The multiindices k and l of an orthogonality check."""
+    k, l = _as_multiindex(params["k"]), _as_multiindex(params["l"])
+    if k.d != l.d:
+        raise DomainError("orthogonality checks need multiindices of equal "
+                          "dimension")
+    return k, l
+
+
+def _row_product(ladders, cfg) -> IntegralResult:
+    """The integral of a separable integrand as the product of its rows'
+    1-d integrals.  ladders holds (f, interval) pairs: f(x) has one row
+    per factor, shape (rows, x.size), and all rows of f share one batched
+    1-d rule on interval.  The error bound is prod(|v_j| + e_j) -
+    prod |v_j|, which stays honest where a row vanishes; evaluations
+    count every row at every node.  Raises NonConvergenceError naming the
+    first row, in ladder order, that misses the contract."""
+    values, errors, evals = [], [], 0
+    for f, interval in ladders:
+        try:
+            res = integrate_1d(f, interval, cfg)
+        except NonConvergenceError as exc:
+            res = exc.result
+        v = np.atleast_1d(res.value)
+        values += v.tolist()
+        errors += np.atleast_1d(res.error_estimate).tolist()
+        evals += res.evaluations * v.size
+    value, bound, magnitude = 1.0 + 0.0j, 1.0, 1.0
+    for v, e in zip(values, errors):
+        value *= v
+        bound *= abs(v) + e
+        magnitude *= abs(v)
+    missed = np.flatnonzero(~_meets(np.array(errors), np.array(values), cfg))
+    result = IntegralResult(value, bound - magnitude, evals, not missed.size)
+    if missed.size:
+        raise NonConvergenceError(f"row {missed[0]} did not converge", result)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -178,21 +222,25 @@ def _check_jacobi_orth(params, cfg):
 
 
 # ----------------------------------------------------------------------
-# Ball basis
+# Ball basis.  In the cube coordinates s of y_j = s_j sqrt(1 - ||y_<j||^2)
+# the basis, the weight (1 - ||y||^2)^(mu-1/2) and the Jacobian are all
+# products of one factor per axis, so an inner product is a product of
+# 1-d integrals on (-1, 1), one ladder row per axis.
 # ----------------------------------------------------------------------
 
+def _ball_rows(k, l, mu, s):
+    """Row j: factor j of k and of l times (1 - s^2)^(mu-1/2+(d-j)/2)."""
+    d = k.d
+    return np.stack([_ball_factor(k, mu, j, s) * _ball_factor(l, mu, j, s)
+                     * ((1.0 - s) * (1.0 + s)) ** (mu - 0.5 + (d - j) / 2.0)
+                     for j in range(1, d + 1)])
+
+
 def _check_ball_orth(params, cfg):
-    k = _as_multiindex(params["k"])
-    l = _as_multiindex(params["l"])
+    k, l = _pair(params)
     mu = float(params["mu"])
-    if k.d != l.d:
-        raise DomainError("ball-orth needs multiindices of equal dimension")
-
-    def integrand(*s):
-        y, jac, rest = _cube_to_ball(s)
-        return ball_op(k, mu, y) * ball_op(l, mu, y) * rest ** (mu - 0.5) * jac
-
-    res = integrate_tensor(integrand, [(-1.0, 1.0)] * k.d, cfg or _CFG_BALL)
+    res = _row_product([(partial(_ball_rows, k, l, mu), (-1.0, 1.0))],
+                       cfg or _CFG_BALL)
     return _orth(res, k == l, ball_norm(k, mu), ball_norm(l, mu))
 
 
@@ -249,25 +297,42 @@ def _check_ball_eigen(params, cfg):
 
 
 # ----------------------------------------------------------------------
-# Cone orthogonality (one separated iterated integral, judged against
-# the closed-form cone_norm)
+# Cone orthogonality.  At x = t y the basis element is its t factor times
+# ball_op at y, and dx = t^d dy, so an inner product is one t integral
+# times the ball rows above; judged against the closed-form cone_norm.
 # ----------------------------------------------------------------------
+
+def _cone_params(family, params):
+    if family == "laguerre":
+        return LaguerreConeParams(float(params["beta"]), float(params["mu"]))
+    return JacobiConeParams(float(params["beta"]), float(params["mu"]),
+                            float(params["gamma"]))
+
 
 def _check_cone_orth(family, params, cfg):
     n, m = int(params["n"]), int(params["m"])
-    k = _as_multiindex(params["k"])
-    l = _as_multiindex(params["l"])
-    if family == "laguerre":
-        cone = LaguerreConeParams(float(params["beta"]), float(params["mu"]))
-        basis = laguerre_cone
-    else:
-        cone = JacobiConeParams(float(params["beta"]), float(params["mu"]),
-                                float(params["gamma"]))
-        basis = jacobi_cone
+    k, l = _pair(params)
+    cone = _cone_params(family, params)
     h_k, h_l = cone_norm(k, n, cone), cone_norm(l, m, cone)
-    res = cone_inner_product_separated(
-        lambda t, x: basis(k, n, cone, (t, x)),
-        lambda t, x: basis(l, m, cone, (t, x)), k.d, cone, cfg or _CFG_CONE)
+    q, mu = _radial(cone), cone.mu
+    power = k.d + 2.0 * mu - 1.0 + cone.beta  # t^|k|, t^|l| are in _t_factor
+
+    def t_row(t):
+        if family == "jacobi":
+            weight = (1.0 - t) ** cone.gamma
+        else:
+            # exp-sinh probes t where t^power overflows against e^-t;
+            # the true product is below 1e-230 past the cutoff
+            dead = t > _T_TAIL_CUTOFF
+            t = np.where(dead, 1.0, t)
+            weight = np.where(dead, 0.0, np.exp(-t))
+        return (_t_factor(q, k, n, mu, t) * _t_factor(q, l, m, mu, t)
+                * t ** power * weight)[None]
+
+    t_box = (0.0, 1.0) if family == "jacobi" else (0.0, math.inf)
+    res = _row_product([(t_row, t_box),
+                        (partial(_ball_rows, k, l, mu), (-1.0, 1.0))],
+                       cfg or _CFG_CONE)
     return _orth(res, (n, k) == (m, l), h_k, h_l)
 
 
@@ -340,8 +405,8 @@ def _check_fd_recursion(params, cfg):
 # ----------------------------------------------------------------------
 # Parseval families.  The orthogonality integrand
 #     Gamma-weight(t) * Fam(it, ix; p1) * Fam(-it, -ix; p2-swapped)
-# is separable: transforms._orthogonality_integrand gives parseval_lhs
-# one row per factor pair, the t pair carrying the Gamma weights.
+# is separable: transforms._orthogonality_integrand gives one whole-line
+# ladder one row per factor pair, the t pair carrying the Gamma weights.
 # ----------------------------------------------------------------------
 
 def _parseval_params(params) -> ParsevalParams:
@@ -352,15 +417,12 @@ def _parseval_params(params) -> ParsevalParams:
 
 def _check_parseval(family, params, cfg):
     n, m = int(params["n"]), int(params["m"])
-    k = _as_multiindex(params["k"])
-    l = _as_multiindex(params["l"])
-    if k.d != l.d:
-        raise DomainError("parseval checks need multiindices of equal dimension")
+    k, l = _pair(params)
     pp = _parseval_params(params)
     norm = a_norm_rhs if family == "a" else b_norm_rhs
     h_k, h_l = norm(n, k, pp), norm(m, l, pp)
-    res = parseval_lhs(_orthogonality_integrand(family, n, k, m, l, pp),
-                       cfg=cfg or _CFG_PARSEVAL)
+    res = _row_product([(_orthogonality_integrand(family, n, k, m, l, pp),
+                         (-math.inf, math.inf))], cfg or _CFG_PARSEVAL)
     return _orth(res, (n, k) == (m, l), h_k, h_l)
 
 
@@ -415,6 +477,41 @@ def _check_norm_constants(params, cfg):
     raise DomainError(f"unknown norm-constants row {which!r}")
 
 
+# ----------------------------------------------------------------------
+# Basis factorization: the assembled bases against the product of the
+# axis factors (and the cone's t factor) that the orthogonality ladders
+# integrate, at a point y(s) of the cube map, or (t, t y(s)) on the cone
+# ----------------------------------------------------------------------
+
+_CONE_BASES = {"laguerre-cone": ("laguerre", laguerre_cone),
+               "jacobi-cone": ("jacobi", jacobi_cone)}
+
+
+def _check_basis_factor(params, cfg):
+    basis = str(params["basis"])
+    if basis != "ball" and basis not in _CONE_BASES:
+        raise DomainError(f"unknown basis-factor row {basis!r}")
+    k, mu = _as_multiindex(params["k"]), float(params["mu"])
+    s = [float(v) for v in np.atleast_1d(params["s"])]
+    if len(s) != k.d:
+        raise DomainError(f"point has {len(s)} coordinates, expected {k.d}")
+    y, rest = [], 1.0
+    for sj in s:
+        y.append(sj * math.sqrt(rest))
+        rest *= (1.0 - sj) * (1.0 + sj)
+    rhs = math.prod(float(_ball_factor(k, mu, j, sj))
+                    for j, sj in enumerate(s, 1))
+    if basis == "ball":
+        lhs = ball_op(k, mu, y)
+    else:
+        family, element = _CONE_BASES[basis]
+        cone = _cone_params(family, params)
+        n, t = int(params["n"]), float(params["t"])
+        lhs = element(k, n, cone, (t, [t * v for v in y]))
+        rhs *= float(_t_factor(_radial(cone), k, n, mu, t))
+    return lhs, rhs, max(1.0, abs(rhs)), 0
+
+
 # id -> (builder, rel tolerance); a builder takes (params, cfg) and
 # returns (lhs, rhs, scale, evals) for _report
 _CATALOG = {
@@ -433,6 +530,7 @@ _CATALOG = {
     "parseval-a": (partial(_check_parseval, "a"), 1e-5),
     "parseval-b": (partial(_check_parseval, "b"), 1e-5),
     "norm-constants": (_check_norm_constants, 1e-11),
+    "basis-factor": (_check_basis_factor, 1e-11),
 }
 IDENTITY_IDS = tuple(_CATALOG)
 
@@ -503,16 +601,20 @@ def default_grids(seed: int = 0) -> dict:
         for n in range(4) for m in range(4)]
 
     kidx = [(0, 0), (1, 0), (0, 1)]
+    kidx3 = [(1, 0, 1), (0, 1, 1)]
     grids["ball-orth"] = [
-        {"k": k, "l": l, "mu": 0.7} for k in kidx for l in kidx]
+        {"k": k, "l": l, "mu": 0.7}
+        for states in (kidx, kidx3) for k in states for l in states]
 
     pts = rng.uniform(-0.6, 0.6, size=(5, 2))
     grids["ball-eigen"] = [
         {"k": (2, 1), "mu": 0.7, "x": tuple(round(float(v), 6) for v in p)}
         for p in pts]
 
-    # every pair of the d = 1 states of degree <= 1, and of two d = 2 states
-    cone_pairs = [(p, q) for states in (_states_d1(1), [(1, (1, 0)), (1, (0, 1))])
+    # every pair of the d = 1 states of degree <= 1, of two d = 2 states
+    # and of two d = 3 states
+    cone_pairs = [(p, q) for states in (_states_d1(1), [(1, (1, 0)), (1, (0, 1))],
+                                        [(1, (1, 0, 0)), (2, (0, 1, 1))])
                   for p in states for q in states]
     grids["cone-orth-laguerre"] = [
         {"n": n, "k": k, "m": m, "l": l, "beta": 0.5, "mu": 0.9}
@@ -578,6 +680,17 @@ def default_grids(seed: int = 0) -> dict:
            for (n, k1) in ((0, 0), (1, 0), (1, 1), (2, 1))]
         + [{"which": "b-norm-d1", "n": n, "k1": k1, **ppb}
            for (n, k1) in ((0, 0), (1, 0), (1, 1), (2, 1))])
+
+    cones = {"laguerre-cone": {"beta": 0.5, "mu": 0.9, "t": 1.7},
+             "jacobi-cone": {"beta": 0.4, "mu": 0.7, "gamma": 0.6, "t": 0.35}}
+    factor_rows = []
+    for k in ((2,), (1, 2), (2, 1, 1), (0, 1, 2)):
+        s = tuple(round(float(v), 6) for v in rng.uniform(-0.95, 0.95, len(k)))
+        factor_rows.append({"basis": "ball", "k": k, "mu": 0.7, "s": s})
+        for basis, cone in cones.items():
+            factor_rows.append({"basis": basis, "k": k, "n": sum(k) + 1,
+                                "s": s, **cone})
+    grids["basis-factor"] = factor_rows
     return grids
 
 

@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from conefourier import (MultiIndex, ball_norm, beta_cx,
-                         cone_inner_product_separated, f_d, f_d_via_g1,
-                         f_d_via_g2, ft_g_laguerre_closed, FreqVector,
-                         gamma_cx, gegenbauer, gegenbauer_norm, jacobi,
-                         jacobi_norm, JacobiConeParams, jacobi_cone,
-                         laguerre, laguerre_norm, LaguerreConeParams,
-                         laguerre_cone, pochhammer, run_suite, theta_hahn,
-                         theta_hyper, TransformParamsLaguerre)
+from conefourier import (MultiIndex, ball_norm, beta_cx, check_identity,
+                         f_d, f_d_via_g1, f_d_via_g2, ft_g_laguerre_closed,
+                         FreqVector, gamma_cx, gegenbauer, gegenbauer_norm,
+                         jacobi, jacobi_norm, laguerre, laguerre_norm,
+                         pochhammer, run_suite, theta_hahn, theta_hyper,
+                         TransformParamsLaguerre)
 from conefourier.cli import main as cli_main
 from conftest import ball_inner_oracle
 
@@ -142,18 +140,18 @@ def test_03_cone_orthogonality():
             worst[name] = max(worst[name], abs(val) / scale)
         assert worst[name] < 1e-6
 
-    # engine spot checks against the same separated references
-    lag_params = LaguerreConeParams(beta, mu)
-    f11 = lambda t, x: laguerre_cone((1,), 1, lag_params, (t, x))
-    res = cone_inner_product_separated(f11, f11, 1, lag_params)
-    assert res.value == pytest.approx(lag_inner(1, 1, 1, 1), rel=1e-7)
-    jac_params = JacobiConeParams(beta, mu, gamma)
-    g21 = lambda t, x: jacobi_cone((1,), 2, jac_params, (t, x))
-    res = cone_inner_product_separated(g21, g21, 1, jac_params)
-    assert res.value == pytest.approx(jac_inner(2, 1, 2, 1), rel=1e-7)
-    g00 = lambda t, x: jacobi_cone((0,), 0, jac_params, (t, x))
-    res = cone_inner_product_separated(g00, g21, 1, jac_params)
-    assert abs(res.value) < 1e-6 * jac_inner(2, 1, 2, 1)
+    # engine spot checks against the same separated references: the
+    # cone-orth checks' quadrature of the inner product is their lhs
+    def engine(ident, n, k, m, l, **extra):
+        return check_identity(ident, {"n": n, "k": (k,), "m": m, "l": (l,),
+                                      "beta": beta, "mu": mu, **extra}).lhs
+
+    assert engine("cone-orth-laguerre", 1, 1, 1, 1) == pytest.approx(
+        lag_inner(1, 1, 1, 1), rel=1e-7)
+    assert engine("cone-orth-jacobi", 2, 1, 2, 1, gamma=gamma) == (
+        pytest.approx(jac_inner(2, 1, 2, 1), rel=1e-7))
+    assert abs(engine("cone-orth-jacobi", 0, 0, 2, 1, gamma=gamma)) < (
+        1e-6 * jac_inner(2, 1, 2, 1))
 
     took = time.time() - start
     assert took < 60.0

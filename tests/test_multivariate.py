@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from conefourier import (DomainError, JacobiConeParams, LaguerreConeParams,
-                         MultiIndex, ball_norm, ball_op, ball_weight,
-                         cone_basis, cone_inner_product_separated, cone_norm,
-                         jacobi,
-                         jacobi_cone, laguerre, laguerre_cone,
-                         space_dimension)
+                         MultiIndex, ball_norm, ball_op, check_identity,
+                         cone_basis, cone_norm, jacobi, jacobi_cone, laguerre,
+                         laguerre_cone)
 from conftest import (ball_inner_oracle, cone_jacobi_inner_oracle,
                       cone_laguerre_inner_oracle)
-from conefourier.multivariate import _cube_to_ball
+from conefourier.multivariate import _ball_factor
 
 
 # ------------------------------------------------------------ MultiIndex
@@ -39,29 +37,6 @@ def test_multiindex_rejects_bad_input():
         MultiIndex([])
     with pytest.raises(DomainError):
         MultiIndex([1, -2])
-
-
-def test_space_dimension():
-    assert space_dimension(0, 3) == 1
-    assert space_dimension(5, 1) == 1
-    assert space_dimension(3, 2) == 4
-
-
-# ------------------------------------------------------------ ball weight
-
-def test_ball_weight_values():
-    assert ball_weight(0.9, (0.0, 0.0)) == pytest.approx(1.0)
-    assert ball_weight(0.5, (0.3, -0.4, 0.1)) == pytest.approx(1.0)
-    # mu = 1, |p|^2 = 0.75 -> (0.25)^(1/2)
-    assert ball_weight(1.0, (0.5, math.sqrt(0.5))) == pytest.approx(0.5,
-                                                                    rel=1e-12)
-
-
-def test_ball_weight_boundary_error():
-    with pytest.raises(DomainError):
-        ball_weight(0.3, (1.0, 0.0))  # negative exponent at the boundary
-    with pytest.raises(DomainError):
-        ball_weight(1.2, (1.5, 0.0))  # outside the ball
 
 
 # ---------------------------------------------------------------- ball_op
@@ -88,16 +63,29 @@ def test_ball_op_partial_norm_guard():
     ball_op((2, 0), 0.8, (x1, 0.0))
 
 
-@pytest.mark.parametrize("signs", itertools.product((1.0, -1.0), repeat=3))
-def test_cube_to_ball_points_clear_the_partial_norm_guard(signs):
-    # a cube node next to s_1 = +-1 maps within 1e-15 of the sphere; the
-    # map shrinks it off the guard, and the weight base 1 - ||y||^2 stays
-    # the exact product of the cube factors
-    s = [sg * v for sg, v in zip(signs, (1.0 - 1e-15, 0.5, 0.3))]
-    y, _, rest = _cube_to_ball([np.array([v]) for v in s])
-    for k in [(0, 0, 1), (0, 1, 1)]:
-        assert np.all(np.isfinite(ball_op(k, 0.7, y)))
-    assert rest == math.prod((1.0 - v) * (1.0 + v) for v in s)
+def test_ball_factors_stay_finite_next_to_the_sphere():
+    # a cube node next to s_1 = +-1 maps within 1e-15 of the sphere, where
+    # ball_op's partial-norm guard refuses k_2 > 0; the axis factors that
+    # the ball-orth ladder integrates take s itself and never divide
+    k = MultiIndex([0, 1, 1])
+    s = np.array([-1.0 + 1e-15, 1.0 - 1e-15])
+    with pytest.raises(DomainError):
+        ball_op(k, 0.7, (s[1], 0.0, 0.0))
+    for j in (1, 2, 3):
+        assert np.all(np.isfinite(_ball_factor(k, 0.7, j, s)))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                max_size=4),
+       st.lists(st.floats(min_value=-0.99, max_value=0.99), min_size=4,
+                max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_ball_op_is_the_product_of_its_axis_factors(parts, s):
+    k = MultiIndex(parts)
+    s = s[:k.d]
+    rep = check_identity("basis-factor", {"basis": "ball", "k": parts,
+                                          "mu": 0.7, "s": s})
+    assert rep.passed
 
 
 def test_ball_norm_constant_case():
@@ -222,38 +210,41 @@ def test_inner_cone_factor_is_polynomial():
         assert resid < 1e-9 * max(1.0, np.linalg.norm(vals))
 
 
-# ------------------------------------------- separated inner products
+# ------------------------------------------- cone inner products
+
+def _cone_inner(ident, n, k, m, l, **weights):
+    """The cone-orth check's quadrature of the inner product, its lhs."""
+    rep = check_identity(ident, {"n": n, "k": k, "m": m, "l": l, **weights})
+    assert not rep.reason
+    return rep.lhs.real
+
 
 def test_cone_inner_product_constant_laguerre():
-    # f = g = 1 at d = 1 reduces to Gamma(2mu+beta+1) * B(1/2, mu+1/2)
+    # the element n = 0, k = (0) is 1; at d = 1 its square integrates to
+    # Gamma(2mu+beta+1) * B(1/2, mu+1/2)
     beta, mu = 0.5, 0.9
-    params = LaguerreConeParams(beta, mu)
-    res = cone_inner_product_separated(lambda t, x: 1.0, lambda t, x: 1.0,
-                                       1, params)
+    value = _cone_inner("cone-orth-laguerre", 0, (0,), 0, (0,),
+                        beta=beta, mu=mu)
     want = (math.gamma(2 * mu + beta + 1)
             * math.gamma(0.5) * math.gamma(mu + 0.5) / math.gamma(mu + 1))
-    assert res.value == pytest.approx(want, rel=1e-9)
-    assert res.converged
+    assert value == pytest.approx(want, rel=1e-9)
 
 
 def test_cone_inner_product_orthogonality_laguerre():
     beta, mu = 0.5, 0.9
-    params = LaguerreConeParams(beta, mu)
-    f = lambda t, x: laguerre_cone((0,), 0, params, (t, x))
-    g = lambda t, x: laguerre_cone((1,), 1, params, (t, x))
-    res = cone_inner_product_separated(f, g, 1, params)
+    value = _cone_inner("cone-orth-laguerre", 0, (0,), 1, (1,),
+                        beta=beta, mu=mu)
     diag = cone_laguerre_inner_oracle(1, 1, 1, 1, beta, mu)
-    assert abs(res.value) < 1e-6 * diag
+    assert abs(value) < 1e-6 * diag
 
 
 def test_cone_inner_product_jacobi_diagonal():
     beta, mu, gamma = 0.4, 0.7, 0.6
-    params = JacobiConeParams(beta, mu, gamma)
-    f = lambda t, x: jacobi_cone((1,), 2, params, (t, x))
-    res = cone_inner_product_separated(f, f, 1, params)
+    value = _cone_inner("cone-orth-jacobi", 2, (1,), 2, (1,),
+                        beta=beta, mu=mu, gamma=gamma)
     oracle = cone_jacobi_inner_oracle(2, 1, 2, 1, beta, mu, gamma)
     assert oracle > 0
-    assert res.value == pytest.approx(oracle, rel=1e-7)
+    assert value == pytest.approx(oracle, rel=1e-7)
 
 
 # --------------------------------------------------------------- cone norms

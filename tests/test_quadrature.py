@@ -10,7 +10,10 @@ import conefourier.quadrature as quadrature
 from conefourier import (DomainError, IntegralResult, NonConvergenceError,
                          ParsevalParams, QuadratureConfig, a_family_factors,
                          fourier_num, gamma_cx, integrate_1d,
-                         integrate_tensor, parseval_lhs)
+                         integrate_tensor)
+from conefourier.verify import _row_product
+
+_LINE = (-math.inf, math.inf)
 
 
 def _check_contract(res, cfg):
@@ -296,24 +299,28 @@ def test_fourier_cross_check_agrees():
 
 
 def test_parseval_classical_pair():
-    # pi sech(pi xi / 2) in a form that cannot overflow: parseval_lhs
-    # samples the whole line, out to |xi| ~ 1e299
+    # pi sech(pi xi / 2) in a form that cannot overflow: the whole-line
+    # ladder samples out to |xi| ~ 1e299
     def F(xi):
         e = np.exp(-0.5 * math.pi * np.abs(xi))
         return 2.0 * math.pi * e / (1.0 + e * e)
 
     def rows(count):
-        return lambda s: np.tile(F(s) * np.conj(F(s)), (count, 1))
+        return [(lambda s: np.tile(F(s) * np.conj(F(s)), (count, 1)), _LINE)]
 
-    res = parseval_lhs(rows(1))
+    cfg = QuadratureConfig()
+    res = _row_product(rows(1), cfg)
     # Parseval for sech: (2 pi) * int sech^2 = 4 pi
     assert res.value == pytest.approx(4.0 * math.pi, rel=1e-10)
     # any number of rows multiplies (a d = 4 family has five)
-    res5 = parseval_lhs(rows(5))
+    res5 = _row_product(rows(5), cfg)
     assert res5.value == pytest.approx((4.0 * math.pi) ** 5, rel=1e-9)
     assert res5.evaluations == 5 * res.evaluations
-    with pytest.raises(DomainError):
-        parseval_lhs(rows(0))
+    # and so do the rows of separate ladders, on any interval
+    half = _row_product(rows(2) + [(lambda s: np.exp(-s)[None], (0.0, 1.0))],
+                        cfg)
+    assert half.value == pytest.approx((4.0 * math.pi) ** 2
+                                       * (1.0 - math.exp(-1.0)), rel=1e-9)
 
 
 def test_parseval_vanishing_factor_error_covers_zero():
@@ -324,9 +331,9 @@ def test_parseval_vanishing_factor_error_covers_zero():
     half = lambda x: np.exp(-0.5 * np.abs(x) * np.minimum(np.abs(x), 1e3))
     gauss = lambda x: half(x) ** 2
     cfg = QuadratureConfig()
-    res = parseval_lhs(lambda x: np.stack([
+    res = _row_product([(lambda x: np.stack([
         gauss(x) * gauss(x), ((x * half(x)) ** 2 - 0.25 * gauss(x)) * gauss(x)]),
-        cfg)
+        _LINE)], cfg)
     assert res.value != 0.0
     assert res.converged
     assert res.error_estimate >= abs(res.value)
@@ -340,12 +347,16 @@ def test_parseval_names_first_row_that_misses():
     jump = lambda s: np.where(s < 0.3, 1.0, -1.0) * gauss(s)
     cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8, max_levels=6)
     with pytest.raises(NonConvergenceError, match="row 1 did not") as err:
-        parseval_lhs(lambda s: np.stack([gauss(s), jump(s), gauss(s), jump(s)]),
-                     cfg)
+        _row_product([(lambda s: np.stack([gauss(s), jump(s), gauss(s),
+                                           jump(s)]), _LINE)], cfg)
     res = err.value.result
     assert not res.converged
     assert res.evaluations > 0
     assert res.error_estimate > cfg.abs_tol
+    # rows are numbered across ladders, in ladder order
+    with pytest.raises(NonConvergenceError, match="row 2 did not"):
+        _row_product([(lambda s: np.stack([gauss(s), gauss(s)]), _LINE),
+                      (lambda s: jump(s)[None], _LINE)], cfg)
 
 
 def test_de_roundoff_floor_follows_the_absolute_integral():

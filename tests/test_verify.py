@@ -12,12 +12,12 @@ import conefourier.quadrature as quadrature
 import conefourier.transforms as transforms
 import conefourier.univariate as univariate
 import conefourier.verify as verify
-from conefourier import (DomainError, LaguerreConeParams, MultiIndex,
-                         NonConvergenceError, ParsevalParams, QuadratureConfig,
-                         a_family, a_family_factors, b_family,
-                         b_family_factors, check_identity, cone_norm,
-                         default_grids, gamma_cx,
-                         integrate_1d, integrate_tensor, run_suite)
+from conefourier import (DomainError, JacobiConeParams, LaguerreConeParams,
+                         MultiIndex, NonConvergenceError, ParsevalParams,
+                         QuadratureConfig, a_family, a_family_factors,
+                         b_family, b_family_factors, ball_op, check_identity,
+                         cone_norm, default_grids, gamma_cx, integrate_1d,
+                         integrate_tensor, jacobi_cone, run_suite)
 from conefourier.transforms import _orthogonality_integrand
 
 _PP_ARGS = {"a1": 0.8, "a2": 0.6, "b1": 0.9, "b2": 0.7, "c1": 1.1, "c2": 0.5}
@@ -26,13 +26,13 @@ CATALOG = {
     "gegenbauer-orth", "laguerre-orth", "jacobi-orth", "ball-orth",
     "ball-eigen", "cone-orth-laguerre", "cone-orth-jacobi", "ft-f",
     "ft-g-laguerre", "ft-g-jacobi", "theta-dual", "fd-recursion",
-    "parseval-a", "parseval-b", "norm-constants",
+    "parseval-a", "parseval-b", "norm-constants", "basis-factor",
 }
 
 
 def test_identity_catalog_is_closed():
     assert set(verify.IDENTITY_IDS) == CATALOG
-    assert len(verify.IDENTITY_IDS) == 15
+    assert len(verify.IDENTITY_IDS) == 16
 
 
 def test_default_grids_cover_catalog():
@@ -82,6 +82,7 @@ def test_nonconvergence_becomes_failed_report():
 
 
 _BALL_D2 = [(0, 0), (1, 0), (2, 0)]
+_BALL_D3 = [(0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 1, 1), (2, 0, 1)]
 
 
 @pytest.mark.parametrize(
@@ -90,19 +91,29 @@ _BALL_D2 = [(0, 0), (1, 0), (2, 0)]
      ((1, 1, 0), (1, 1, 0), 0.7, 1e-12),
      ((1, 0, 1), (0, 1, 1), 0.7, 1e-12),
      ((2, 0, 1), (0, 0, 1), 0.7, 1e-12)]
-    # mu < 1/2: the weight is singular on the sphere, and the ladder
-    # converges only if the weight is not capped next to it
-    + [(k, l, 0.3, 1e-11) for k in _BALL_D2 for l in _BALL_D2],
+    # mu < 1/2: the weight is singular on the sphere; the iterated tensor
+    # rule failed 17 of these 25 pairs, each axis row converges alone
+    + [(k, l, 0.3, 1e-11) for k in _BALL_D3 for l in _BALL_D3],
     ids=[f"k{i}-l{i}" for i in range(4)]
-    + [f"d2-mu0.3-k{k[0]}{k[1]}-l{l[0]}{l[1]}" for k in _BALL_D2
-       for l in _BALL_D2])
+    + [f"mu0.3-k{''.join(map(str, k))}-l{''.join(map(str, l))}"
+       for k in _BALL_D3 for l in _BALL_D3])
 def test_ball_orth_d3(k, l, mu, bound):
-    # the check integrates over the cube mapped onto the ball, so no
-    # inner interval collapses where the outer coordinates reach the sphere
     rep = check_identity("ball-orth", {"k": k, "l": l, "mu": mu})
     assert not rep.reason
     assert rep.passed
     assert rep.rel_err < bound
+
+
+@pytest.mark.parametrize("k,l", [(k, l) for k in _BALL_D2 for l in _BALL_D2],
+                         ids=[f"mu0.3-k{k[0]}{k[1]}-l{l[0]}{l[1]}"
+                              for k in _BALL_D2 for l in _BALL_D2])
+def test_ball_orth_singular_weight_d2(k, l):
+    # mu < 1/2: the ladder converges only if the weight (1 - s^2)^(mu-1/2)
+    # of the last axis is not capped next to s = +-1
+    rep = check_identity("ball-orth", {"k": k, "l": l, "mu": 0.3})
+    assert not rep.reason
+    assert rep.passed
+    assert rep.rel_err < 1e-11
 
 
 def test_report_passed_implies_finite():
@@ -154,17 +165,79 @@ def test_failure_isolation(monkeypatch):
                         "jacobi-orth": True}
 
 
-def test_cone_orth_runs_one_quadrature_per_check(monkeypatch):
-    # cone_inner_product_separated imports integrate_tensor at call time,
-    # so the count sees every quadrature a check makes
-    calls = []
-    tensor = quadrature.integrate_tensor
-    monkeypatch.setattr(quadrature, "integrate_tensor",
-                        lambda *args: calls.append(1) or tensor(*args))
-    result = run_suite(["cone-orth-laguerre", "cone-orth-jacobi"])
+def test_orthogonality_checks_never_call_the_tensor_rule(monkeypatch):
+    # every multivariate orthogonality check is a product of 1-d ladders
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate_tensor called")
+
+    monkeypatch.setattr(quadrature, "integrate_tensor", refuse)
+    ids = ["ball-orth", "cone-orth-laguerre", "cone-orth-jacobi",
+           "parseval-a", "parseval-b"]
+    result = run_suite(ids)
     assert all(r.passed for r in result)
-    assert len(calls) == len(result) == 26
-    assert any(len(r.params_dict()["k"]) == 2 for r in result)
+    assert {r.id for r in result} == set(ids)
+    dims = {len(r.params_dict()["k"]) for r in result}
+    assert {1, 2, 3} <= dims
+
+
+def test_cone_orth_d3_laguerre_diagonal_is_cheap():
+    # the iterated tensor rule took 2.11e9 evaluations for this diagonal
+    params = {"n": 1, "k": (0, 0, 1), "m": 1, "l": (0, 0, 1),
+              "beta": 0.5, "mu": 0.3}
+    rep = check_identity("cone-orth-laguerre", params)
+    assert rep.passed
+    assert rep.evals < 10_000
+
+
+def _cube_map(s):
+    """y_j = s_j sqrt(1 - ||y_<j||^2) with its Jacobian and 1 - ||y||^2,
+    y shrunk onto ||y||^2 <= 1 - 1e-12 to stay clear of ball_op's
+    partial-norm guard at nodes next to the sphere."""
+    y, jac, rest = [], 1.0, 1.0
+    for sj in s:
+        r = np.sqrt(rest)
+        y.append(sj * r)
+        jac = jac * r
+        rest = rest * ((1.0 - sj) * (1.0 + sj))
+    nsq = sum(v * v for v in y)
+    shrink = np.sqrt((1.0 - 1e-12) / np.maximum(nsq, 1.0 - 1e-12))
+    return [v * shrink for v in y], jac, rest
+
+
+def test_ball_orth_factorization_matches_tensor():
+    # the factored oracle integrates one row per axis; the same d = 2
+    # diagonal integrated unfactored over the mapped square must agree
+    k, mu = (1, 1), 0.7
+
+    def integrand(s1, s2):
+        y, jac, rest = _cube_map((s1, s2))
+        return ball_op(k, mu, y) ** 2 * rest ** (mu - 0.5) * jac
+
+    factored = check_identity("ball-orth", {"k": k, "l": k, "mu": mu})
+    assert factored.passed
+    tensor = integrate_tensor(integrand, [(-1.0, 1.0)] * 2, verify._CFG_BALL)
+    assert abs(tensor.value - factored.lhs) <= 1e-9 * abs(tensor.value)
+
+
+def test_cone_orth_factorization_matches_tensor():
+    # one t ladder times the ball rows; the same d = 2 diagonal integrated
+    # unfactored over (t, s1, s2) must agree
+    params = {"n": 1, "k": (0, 1), "m": 1, "l": (0, 1), "beta": 0.4,
+              "mu": 0.7, "gamma": 0.6}
+    cone = JacobiConeParams(0.4, 0.7, 0.6)
+
+    def integrand(t, s1, s2):
+        y, jac, rest = _cube_map((s1, s2))
+        value = jacobi_cone((0, 1), 1, cone, (t, [t * v for v in y]))
+        return (value ** 2 * rest ** (cone.mu - 0.5) * jac
+                * t ** (2 + 2 * cone.mu - 1 + cone.beta)
+                * (1.0 - t) ** cone.gamma)
+
+    factored = check_identity("cone-orth-jacobi", params)
+    assert factored.passed
+    tensor = integrate_tensor(integrand, [(0.0, 1.0)] + [(-1.0, 1.0)] * 2,
+                              verify._CFG_CONE)
+    assert abs(tensor.value - factored.lhs) <= 1e-7 * abs(tensor.value)
 
 
 def test_cone_orth_d3_returns_a_report():
@@ -192,6 +265,26 @@ def test_cone_orth_under_gk_is_judged_against_cone_norm(n, k, m, l):
         assert rep.rhs == cone_norm(k, n, LaguerreConeParams(0.5, 0.9))
     else:
         assert rep.rhs == 0.0
+
+
+def test_offdiagonal_scale_survives_an_overflowing_norm_product():
+    # both norms are finite (6.2e180 and 4.0e182) but their product is
+    # not; an infinite scale divided every error down to rel_err 0, and
+    # this row passed under a loose absolute tolerance with lhs 6.4e178
+    params = {"n": 1, "k": (0,), "m": 0, "l": (0,),
+              **{key: 40.0 * v for key, v in _PP_ARGS.items()
+                 if key not in ("c1", "c2")}}
+    rep = check_identity("parseval-a", params,
+                         QuadratureConfig(abs_tol=1e300, rel_tol=1e-7))
+    assert abs(rep.lhs) > 1e178
+    assert not rep.passed
+    assert rep.rel_err > rep.tol
+
+
+def test_report_refuses_a_non_finite_scale():
+    rep = verify._report("ball-orth", {}, 1.0, 0.0, 0, 0.0, scale=math.inf)
+    assert rep.rel_err == 0.0
+    assert not rep.passed
 
 
 @pytest.mark.parametrize("scale", [60.0, 120.0])
@@ -332,9 +425,9 @@ def test_parseval_check_makes_one_gamma_call_per_ladder_call(monkeypatch):
     for module in (kernel, univariate):
         monkeypatch.setattr(module, "_pfq_terminating",
                             counting("series", module._pfq_terminating))
-    lhs = verify.parseval_lhs
-    monkeypatch.setattr(verify, "parseval_lhs", lambda f, cfg: lhs(
-        counting("integrand", f), cfg=cfg))
+    ladder = verify.integrate_1d
+    monkeypatch.setattr(verify, "integrate_1d", lambda f, interval, cfg: ladder(
+        counting("integrand", f), interval, cfg))
     for family in "ab":
         params = {"n": 2, "k": (1,), "m": 2, "l": (1,), **_PP_ARGS}
         before = dict(counts)
