@@ -16,6 +16,7 @@ from conefourier import (DomainError, JacobiConeParams, LaguerreConeParams,
 from conftest import (ball_inner_oracle, cone_jacobi_inner_oracle,
                       cone_laguerre_inner_oracle)
 from conefourier.multivariate import _ball_factor
+from conefourier.verify import _ball_rows
 
 
 # ------------------------------------------------------------ MultiIndex
@@ -63,16 +64,19 @@ def test_ball_op_partial_norm_guard():
     ball_op((2, 0), 0.8, (x1, 0.0))
 
 
-def test_ball_factors_stay_finite_next_to_the_sphere():
+@pytest.mark.parametrize("signs", itertools.product((1.0, -1.0), repeat=3))
+def test_cube_to_ball_points_clear_the_partial_norm_guard(signs):
     # a cube node next to s_1 = +-1 maps within 1e-15 of the sphere, where
-    # ball_op's partial-norm guard refuses k_2 > 0; the axis factors that
-    # the ball-orth ladder integrates take s itself and never divide
-    k = MultiIndex([0, 1, 1])
-    s = np.array([-1.0 + 1e-15, 1.0 - 1e-15])
+    # ball_op's partial-norm guard refuses k_2 > 0; the axis factors and
+    # the ball-orth rows take s itself, never divide, and stay finite
+    s = [sg * v for sg, v in zip(signs, (1.0 - 1e-15, 0.5, 0.3))]
     with pytest.raises(DomainError):
-        ball_op(k, 0.7, (s[1], 0.0, 0.0))
-    for j in (1, 2, 3):
-        assert np.all(np.isfinite(_ball_factor(k, 0.7, j, s)))
+        ball_op((0, 1, 1), 0.7, (s[0], 0.0, 0.0))
+    for k in [MultiIndex([0, 0, 1]), MultiIndex([0, 1, 1])]:
+        for j, sj in enumerate(s, start=1):
+            assert np.all(np.isfinite(_ball_factor(k, 0.7, j, sj)))
+        for sj in s:
+            assert np.all(np.isfinite(_ball_rows(k, k, 0.7, np.array([sj]))))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1,
