@@ -7,9 +7,11 @@ consumes a raw integrand callable.  Integrands must be vectorized: they
 are called on numpy arrays of abscissas and return arrays of matching
 shape.  Both 1-d rules are vector-valued: an integrand may return shape
 batch + (nodes,), and the rule integrates every row on one shared node
-set, converging only when every row does.  Tensor integration uses this
-to integrate the inner axes for all outer nodes of a level in one call,
-and a separable integrand can stack its 1-d factors as rows of one call.
+set, converging only when every row does.  A separable integrand stacks
+its 1-d factors as rows of one call, and fourier_num transforms such
+rows, one frequency per row.  Tensor integration batches the inner axes
+for all outer nodes of a level the same way; it is the unfactored
+reference that the factored oracle is tested against.
 """
 
 from __future__ import annotations
@@ -295,16 +297,21 @@ def _gk_truncate(a: float, b: float):
 
 def _gk_integrate(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:
     """Adaptive GK; with batched values every row shares one subdivision,
-    which always splits the interval with the largest row error."""
+    which always splits the interval with the largest row error.  It
+    starts from the two halves: one 15-point panel over a whole (-60, 60)
+    can miss a peak between its nodes and accept a wrong value with a
+    zero error estimate."""
     import heapq
 
     a, b = _gk_truncate(a, b)
     limit = min(2 ** cfg.max_levels, 4096)
-    val, err = _gk_eval(f, a, b)
-    heap = [(-np.max(err), 0, a, b, val, err)]
-    count = 1
-    evals = 15
-    total_val, total_err = val, err
+    m = 0.5 * (a + b)
+    (lval, lerr), (rval, rerr) = _gk_eval(f, a, m), _gk_eval(f, m, b)
+    heap = [(-np.max(lerr), 0, a, m, lval, lerr),
+            (-np.max(rerr), 1, m, b, rval, rerr)]
+    heapq.heapify(heap)
+    count, evals = 2, 30
+    total_val, total_err = lval + rval, lerr + rerr
     while count < limit:
         if _within(total_err, total_val, cfg):
             return IntegralResult(total_val, total_err, evals, True)
@@ -437,78 +444,55 @@ def integrate_tensor(f, boxes, cfg: QuadratureConfig | None = None) -> IntegralR
 # Fourier transforms
 # ----------------------------------------------------------------------
 
-def _fourier_axes(xi, t_axis):
-    xi = [float(v) for v in np.atleast_1d(np.asarray(xi, dtype=np.float64))]
-    if any(abs(v) > MAX_FREQUENCY for v in xi):
+def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
+                t_axis: str | None = None) -> IntegralResult:
+    """Numerical Fourier transforms
+
+        int exp(-i xi x) f(x) dx
+
+    over the whole line, one per row of f: f is a vectorized callable of
+    one variable, returning shape (x.size,) or one row per factor, shape
+    (rows, x.size).  xi is a scalar or one frequency per row; the result
+    holds one value per row.  |xi| above 8 is rejected.  The line is
+    mapped through x = c atanh(u) on u in (-1, 1), with Jacobian
+    c / ((1 - u)(1 + u)): c = 1, except c = 2 when t_axis="laguerre"
+    marks the call as a Laguerre cone t axis, whose left tail decays only
+    like e^{(b + |k|) t}.
+
+    The primary evaluation is always double-exponential on the mapped
+    interval; it raises NonConvergenceError when it misses the contract.
+    Selecting rule="adaptive-GK" in cfg additionally runs adaptive-GK in
+    original truncated coordinates on the same rows; the primary's
+    non-convergence or a disagreement beyond 10x the combined error
+    estimates then clears the converged flag instead.
+    """
+    if cfg is None:
+        cfg = QuadratureConfig()
+    xi = np.asarray(xi, dtype=np.float64)
+    if np.any(np.abs(xi) > MAX_FREQUENCY):
         raise DomainError(
             f"fourier_num rejects |xi| > {MAX_FREQUENCY}: Gamma-type decay makes "
             "such values numerically uninformative")
     if t_axis not in (None, "laguerre"):
         raise DomainError(f"unknown t_axis {t_axis!r}")
-    return xi
+    c = 2.0 if t_axis else 1.0
+    xi = xi[..., None]  # broadcasts against (rows, x.size)
 
+    def wave(x):
+        return f(x) * np.exp(-1j * (xi * x))
 
-def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
-                t_axis: str | None = None) -> IntegralResult:
-    """Numerical Fourier transform
+    def integrand(u):
+        return wave(c * np.arctanh(u)) * (c / ((1.0 - u) * (1.0 + u)))
 
-        int exp(-i <xi, x>) f(x1, ..., xn) dx
-
-    over the whole space.  Every axis is mapped through x = c atanh(u) on
-    u in (-1, 1), with Jacobian c / ((1 - u)(1 + u)): c = 1, except c = 2
-    on the LAST axis when t_axis="laguerre" marks it as a Laguerre cone
-    t-axis, whose left tail decays only like e^{(b + |k|) t}.
-    f takes the axes in the same order as xi, one coordinate array per
-    axis, all of one shape, and must return an array of that shape.
-    |xi| components above 8 are rejected.
-
-    The primary evaluation is always double-exponential on the transformed
-    domain.  Selecting rule="adaptive-GK" in cfg additionally runs
-    adaptive-GK in original truncated coordinates; a disagreement beyond
-    10x the combined error estimates clears the converged flag.
-    """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    cross_check = cfg.rule == "adaptive-GK"
-    xi = _fourier_axes(xi, t_axis)
-    dims = len(xi)
-    scales = [1.0] * (dims - 1) + [2.0 if t_axis else 1.0]
-
-    def integrand(*us):
-        coords = []
-        jac = 1.0
-        phase = 0.0
-        for u, c, v in zip(us, scales, xi):
-            x = c * np.arctanh(u)
-            coords.append(x)
-            jac = jac * c / ((1.0 - u) * (1.0 + u))
-            phase = phase + v * x
-        return f(*coords) * np.exp(-1j * phase) * jac
-
-    boxes = [(-1.0, 1.0)] * dims
-    de_cfg = replace(cfg, rule="double-exponential")
-    try:
-        primary = integrate_tensor(integrand, boxes, de_cfg)
-    except NonConvergenceError as exc:
-        if not cross_check:
-            raise
-        primary = exc.result
-    if not cross_check:
-        return primary
-
-    def raw(*coords):
-        phase = sum(x * v for x, v in zip(xi, coords))
-        return f(*coords) * np.exp(-1j * phase)
-
-    gk_cfg = replace(cfg, rule="adaptive-GK")
-    try:
-        check = integrate_tensor(raw, [(-math.inf, math.inf)] * dims, gk_cfg)
-    except NonConvergenceError as exc:
-        check = exc.result
-    disagree = abs(primary.value - check.value) > 10.0 * (
-        primary.error_estimate + check.error_estimate)
+    if cfg.rule != "adaptive-GK":
+        return integrate_1d(integrand, (-1.0, 1.0), cfg)
+    primary = _integrate_1d_result(
+        integrand, (-1.0, 1.0), replace(cfg, rule="double-exponential"))
+    check = _integrate_1d_result(wave, (-math.inf, math.inf), cfg)
+    gap = abs(primary.value - check.value)
+    disagree = np.any(gap > 10.0 * (primary.error_estimate
+                                    + check.error_estimate))
     return IntegralResult(
-        primary.value,
-        max(primary.error_estimate, abs(primary.value - check.value)),
+        primary.value, np.fmax(primary.error_estimate, gap),
         primary.evaluations + check.evaluations,
-        primary.converged and check.converged and not disagree)
+        bool(primary.converged and check.converged and not disagree))

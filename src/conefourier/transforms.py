@@ -32,7 +32,7 @@ from .kernel import (_LOG2, INTEGRALITY_TOL, Cx, DomainError, PoleError,
                      _exp_in_range, _gamma_zero_beyond, _series_terms,
                      _signed_log_pochhammer, gamma_cx, log_gamma_cx, pochhammer)
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
-                           _as_multiindex, ball_norm, ball_op)
+                           _as_multiindex, ball_norm)
 from .univariate import _I_POWERS, continuous_hahn, gegenbauer, jacobi, laguerre
 
 __all__ = [
@@ -272,39 +272,27 @@ def _coords(x, d: int):
     return seq
 
 
+def _f_factor(k: MultiIndex, a, mu, j: int, x):
+    """Factor j (1-based) of f_d at x_j = x:
+    sech^2(x)^(a + |k^{j+1}|/2 + (d-j)/4) C_{k_j}^(lambda_j)(tanh x).
+    The power of sech^2 is taken whole: a (1 - tanh^2 x) would round to
+    0 past |x| of about 19, and lose digits well before."""
+    x = np.asarray(x, dtype=np.float64)
+    return (_sech2(x) ** (a + k.tail(j + 1) / 2.0 + (k.d - j) / 4.0)
+            * gegenbauer(k[j - 1], k.lambda_j(j, mu), np.tanh(x)))
+
+
 def f_d(x, k, a, mu):
     """Product of (1 - tanh^2 x_j)^(a + (d-j)/4) with the ball basis
-    polynomial evaluated at the nested tanh coordinates.
+    polynomial evaluated at the nested tanh coordinates, taken as the
+    product of its axis factors (_f_factor).
 
     x is a sequence of d real scalars or broadcastable arrays.  The value
-    is smooth on all of R^d; when an extreme coordinate drives the nested
-    ball point onto its boundary guard, the algebraically identical
-    factored Gegenbauer product takes over.
+    is smooth on all of R^d.
     """
     k = _as_multiindex(k)
-    d = k.d
-    xs = _coords(x, d)
-    th = [np.tanh(np.asarray(xj, dtype=np.float64)) for xj in xs]
-    s2 = [_sech2(xj) for xj in xs]
-    pref = 1.0
-    for j in range(1, d + 1):
-        pref = pref * s2[j - 1] ** (a + (d - j) / 4.0)
-    cum = 1.0
-    ups = []
-    for j in range(d):
-        ups.append(th[j] * np.sqrt(cum))
-        cum = cum * s2[j]
-    try:
-        poly = ball_op(k, mu, tuple(ups))
-    except DomainError:
-        poly = 1.0
-        for j in range(1, d + 1):
-            tail = k.tail(j + 1)
-            if tail:
-                poly = poly * s2[j - 1] ** (tail / 2.0)
-            if k[j - 1]:
-                poly = poly * gegenbauer(k[j - 1], k.lambda_j(j, mu), th[j - 1])
-    return pref * poly
+    xs = _coords(x, k.d)
+    return math.prod(_f_factor(k, a, mu, j, xj) for j, xj in enumerate(xs, 1))
 
 
 def f_d_via_g1(x, k, a, mu):
@@ -314,11 +302,8 @@ def f_d_via_g1(x, k, a, mu):
     xs = _coords(x, d)
     if d == 1:
         return f_d(xs, k, a, mu)
-    s2 = _sech2(xs[0])
-    tail = k.tail(2)
-    lam = tail + mu + (d - 1) / 2.0
-    head = s2 ** (a + tail / 2.0 + (d - 1) / 4.0) * gegenbauer(k[0], lam, np.tanh(xs[0]))
-    return head * f_d_via_g1(xs[1:], MultiIndex(k.components[1:]), a, mu)
+    return _f_factor(k, a, mu, 1, xs[0]) * f_d_via_g1(
+        xs[1:], MultiIndex(k.components[1:]), a, mu)
 
 
 def f_d_via_g2(x, k, a, mu):
@@ -348,19 +333,23 @@ def g_laguerre(t, x, k, n, params: TransformParamsLaguerre):
     factor is bypassed so no overflow from e^t leaks into the result.
     """
     k = _as_multiindex(k)
+    return _laguerre_t_part(t, k, n, params) * f_d(x, k, params.a, params.mu)
+
+
+def _laguerre_t_part(t, k: MultiIndex, n: int, params: TransformParamsLaguerre):
+    """The t part of g_laguerre."""
     _check_k_n(k, n)
-    d = k.d
     ta = np.asarray(t, dtype=np.float64)
     dead = ta > 8.0  # exp(-e^t/2) < 1e-647: identically 0 in doubles
     ta = np.where(dead, 0.0, ta)
     u = np.exp(ta)
-    alpha = 2 * k.total + 2 * params.mu + params.beta + d - 1
+    alpha = 2 * k.total + 2 * params.mu + params.beta + k.d - 1
     lag = laguerre(int(n) - k.total, alpha, u)
     core = np.exp(-0.5 * u + (params.b + k.total) * ta)
     tpart = np.where(dead, 0.0, lag * core)
     if np.ndim(t) == 0 and np.ndim(tpart):
         tpart = tpart[()]
-    return tpart * f_d(x, k, params.a, params.mu)
+    return tpart
 
 
 def g_jacobi(t, x, k, n, params: TransformParamsJacobi):
@@ -368,13 +357,16 @@ def g_jacobi(t, x, k, n, params: TransformParamsJacobi):
     P_(n-|k|)^((2|k|+2 mu+beta+d-1, gamma))(-tanh t) times
     f_d(x; k, a, mu)."""
     k = _as_multiindex(k)
+    return _jacobi_t_part(t, k, n, params) * f_d(x, k, params.a, params.mu)
+
+
+def _jacobi_t_part(t, k: MultiIndex, n: int, params: TransformParamsJacobi):
+    """The t part of g_jacobi."""
     _check_k_n(k, n)
-    d = k.d
     th = np.tanh(np.asarray(t, dtype=np.float64))
-    alpha = 2 * k.total + 2 * params.mu + params.beta + d - 1
-    tpart = 2.0 ** (-k.total) * (1.0 + th) ** (params.b + k.total) \
+    alpha = 2 * k.total + 2 * params.mu + params.beta + k.d - 1
+    return 2.0 ** (-k.total) * (1.0 + th) ** (params.b + k.total) \
         * (1.0 - th) ** params.c * jacobi(int(n) - k.total, alpha, params.gamma, -th)
-    return tpart * f_d(x, k, params.a, params.mu)
 
 
 # ----------------------------------------------------------------------

@@ -6,17 +6,19 @@ compares a closed-form value against an independently computed oracle
 structured report.  Individual failures are data, never crashes: oracle
 non-convergence comes back as a failed report carrying the reason.
 Every orthogonality check judges its inner product against closed-form
-norms.  The ball, cone and Parseval inner products are separable, so
-each is the product of 1-d row integrals (_row_product), one batched
-ladder per interval; basis-factor certifies pointwise that the bases
-are the products of the factors those rows integrate.
+norms.  The ball, cone and Parseval inner products and the cone
+transforms are separable, so each is the product of 1-d row integrals
+(_row_product), one batched ladder per interval or per Fourier map;
+basis-factor certifies pointwise that the bases are the products of the
+factors those rows integrate.
 
 Tolerance policy (per identity class): algebraic identities compare two
 exact evaluation routes at rel 1e-11; single-integral quadrature checks
-run at rel 1e-10; ball and cone inner products at 1e-8; two-dimensional
-Fourier integrals at 1e-6; Parseval integrals at 1e-5.  Off-diagonal
-orthogonality entries are judged by absolute error relative to the
-diagonal scale, since relative error at a true zero is meaningless.
+run at rel 1e-10; ball and cone inner products at 1e-8; Fourier
+transforms, products of whole-line 1-d transforms, at 1e-6; Parseval
+integrals at 1e-5.  Off-diagonal orthogonality entries are judged by
+absolute error relative to the diagonal scale, since relative error at a
+true zero is meaningless.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
 from .quadrature import (IntegralResult, NonConvergenceError, QuadratureConfig,
                          _meets, fourier_num, integrate_1d)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
-                         TransformParamsLaguerre, _orthogonality_integrand,
+                         TransformParamsLaguerre, _f_factor, _jacobi_t_part,
+                         _laguerre_t_part, _orthogonality_integrand,
                          a_norm_rhs, b_norm_rhs, f_d, f_d_via_g1, f_d_via_g2,
                          ft_f_closed, ft_g_jacobi_closed, ft_g_laguerre_closed,
-                         g_jacobi, g_laguerre, theta_hahn, theta_hyper)
+                         theta_hahn, theta_hyper)
 from .univariate import (gegenbauer, gegenbauer_norm, jacobi, jacobi_norm,
                          laguerre, laguerre_norm)
 
@@ -142,31 +145,40 @@ def _pair(params):
 
 def _row_product(ladders, cfg) -> IntegralResult:
     """The integral of a separable integrand as the product of its rows'
-    1-d integrals.  ladders holds (f, interval) pairs: f(x) has one row
-    per factor, shape (rows, x.size), and all rows of f share one batched
-    1-d rule on interval.  The error bound is prod(|v_j| + e_j) -
-    prod |v_j|, which stays honest where a row vanishes; evaluations
-    count every row at every node.  Raises NonConvergenceError naming the
-    first row, in ladder order, that misses the contract."""
-    values, errors, evals = [], [], 0
-    for f, interval in ladders:
+    1-d integrals.  Each ladder is a callable of cfg that runs one batched
+    1-d rule over its rows, a partial of integrate_1d (f, interval) or of
+    fourier_num (f, xi): f(x) has one row per factor, shape
+    (rows, x.size).  The error bound is prod(|v_j| + e_j) - prod |v_j|,
+    which stays honest where a row vanishes; evaluations count every row
+    at every node.  Raises NonConvergenceError naming the first row, in
+    ladder order, that misses the contract, or else the first ladder
+    that reports no convergence, as a Fourier ladder whose cross-check
+    disagrees."""
+    values, errors, evals, unconverged = [], [], 0, []
+    for i, ladder in enumerate(ladders):
         try:
-            res = integrate_1d(f, interval, cfg)
+            res = ladder(cfg)
         except NonConvergenceError as exc:
             res = exc.result
         v = np.atleast_1d(res.value)
         values += v.tolist()
         errors += np.atleast_1d(res.error_estimate).tolist()
         evals += res.evaluations * v.size
+        if not res.converged:
+            unconverged.append(i)
     value, bound, magnitude = 1.0 + 0.0j, 1.0, 1.0
     for v, e in zip(values, errors):
         value *= v
         bound *= abs(v) + e
         magnitude *= abs(v)
     missed = np.flatnonzero(~_meets(np.array(errors), np.array(values), cfg))
-    result = IntegralResult(value, bound - magnitude, evals, not missed.size)
+    result = IntegralResult(value, bound - magnitude, evals,
+                            not (missed.size or unconverged))
     if missed.size:
         raise NonConvergenceError(f"row {missed[0]} did not converge", result)
+    if unconverged:
+        raise NonConvergenceError(f"ladder {unconverged[0]} did not converge "
+                                  "(its rule or cross-check failed)", result)
     return result
 
 
@@ -239,8 +251,8 @@ def _ball_rows(k, l, mu, s):
 def _check_ball_orth(params, cfg):
     k, l = _pair(params)
     mu = float(params["mu"])
-    res = _row_product([(partial(_ball_rows, k, l, mu), (-1.0, 1.0))],
-                       cfg or _CFG_BALL)
+    res = _row_product([partial(integrate_1d, partial(_ball_rows, k, l, mu),
+                                (-1.0, 1.0))], cfg or _CFG_BALL)
     return _orth(res, k == l, ball_norm(k, mu), ball_norm(l, mu))
 
 
@@ -250,7 +262,7 @@ _FD_STEP = 1e-4
 def _check_ball_eigen(params, cfg):
     k = _as_multiindex(params["k"])
     mu = float(params["mu"])
-    x = tuple(float(v) for v in params["x"])
+    x = tuple(float(v) for v in np.atleast_1d(params["x"]))
     d = k.d
     if len(x) != d:
         raise DomainError(f"point has {len(x)} coordinates, expected {d}")
@@ -330,8 +342,9 @@ def _check_cone_orth(family, params, cfg):
                 * t ** power * weight)[None]
 
     t_box = (0.0, 1.0) if family == "jacobi" else (0.0, math.inf)
-    res = _row_product([(t_row, t_box),
-                        (partial(_ball_rows, k, l, mu), (-1.0, 1.0))],
+    res = _row_product([partial(integrate_1d, t_row, t_box),
+                        partial(integrate_1d, partial(_ball_rows, k, l, mu),
+                                (-1.0, 1.0))],
                        cfg or _CFG_CONE)
     return _orth(res, (n, k) == (m, l), h_k, h_l)
 
@@ -340,10 +353,14 @@ def _check_cone_orth(family, params, cfg):
 # Fourier transform identities
 # ----------------------------------------------------------------------
 
-def _fourier_row(lhs, f, xi, cfg, t_axis=None):
-    """The row of a closed-form transform lhs against fourier_num of f."""
+def _fourier_row(lhs, k, a, mu, xi, cfg, *t_ladder):
+    """The row of a closed-form transform lhs against the product of 1-d
+    transforms: one ladder of f_d's d axis factors at xi's first d
+    components, times the cone's t ladder if given."""
     base = cfg or _CFG_FOURIER
-    res = fourier_num(f, xi, base, t_axis=t_axis)
+    axes = partial(fourier_num, lambda x: np.stack(
+        [_f_factor(k, a, mu, j, x) for j in range(1, k.d + 1)]), xi[:k.d])
+    res = _row_product([axes, *t_ladder], base)
     # odd symmetry makes some transforms vanish exactly; dividing by a
     # quadrature value of ~1e-17 there would report rel_err 1, so the
     # error is judged against the oracle's own resolution instead
@@ -355,31 +372,30 @@ def _check_ft_f(params, cfg):
     k = _as_multiindex(params["k"])
     a, mu = float(params["a"]), float(params["mu"])
     xi = FreqVector(params["xi"])
-    return _fourier_row(ft_f_closed(k, a, mu, xi),
-                        lambda *xs: f_d(xs, k, a, mu), xi, cfg)
+    return _fourier_row(ft_f_closed(k, a, mu, xi), k, a, mu, xi.components,
+                        cfg)
 
 
-def _check_ft_g_laguerre(params, cfg):
+# family -> (parameter class, its argument names, closed form, t part,
+# t_axis of its t ladder)
+_CONE_TRANSFORMS = {
+    "laguerre": (TransformParamsLaguerre, ("a", "b", "beta", "mu"),
+                 ft_g_laguerre_closed, _laguerre_t_part, "laguerre"),
+    "jacobi": (TransformParamsJacobi, ("a", "b", "c", "beta", "mu", "gamma"),
+               ft_g_jacobi_closed, _jacobi_t_part, None),
+}
+
+
+def _check_ft_g(family, params, cfg):
     k = _as_multiindex(params["k"])
     n = int(params["n"])
-    tp = TransformParamsLaguerre(float(params["a"]), float(params["b"]),
-                                 float(params["beta"]), float(params["mu"]))
+    kind, names, closed, t_part, t_axis = _CONE_TRANSFORMS[family]
+    tp = kind(*(float(params[name]) for name in names))
     xi = FreqVector(params["xi"])
-    return _fourier_row(ft_g_laguerre_closed(k, n, tp, xi),
-                        lambda *cs: g_laguerre(cs[-1], cs[:-1], k, n, tp),
-                        xi, cfg, "laguerre")
-
-
-def _check_ft_g_jacobi(params, cfg):
-    k = _as_multiindex(params["k"])
-    n = int(params["n"])
-    tp = TransformParamsJacobi(float(params["a"]), float(params["b"]),
-                               float(params["c"]), float(params["beta"]),
-                               float(params["mu"]), float(params["gamma"]))
-    xi = FreqVector(params["xi"])
-    return _fourier_row(ft_g_jacobi_closed(k, n, tp, xi),
-                        lambda *cs: g_jacobi(cs[-1], cs[:-1], k, n, tp),
-                        xi, cfg)
+    t_ladder = partial(fourier_num, lambda t: t_part(t, k, n, tp), xi[k.d],
+                       t_axis=t_axis)
+    return _fourier_row(closed(k, n, tp, xi), k, tp.a, tp.mu, xi.components,
+                        cfg, t_ladder)
 
 
 def _check_theta_dual(params, cfg):
@@ -393,7 +409,7 @@ def _check_theta_dual(params, cfg):
 def _check_fd_recursion(params, cfg):
     k = _as_multiindex(params["k"])
     a, mu = float(params["a"]), float(params["mu"])
-    x = tuple(float(v) for v in params["x"])
+    x = tuple(float(v) for v in np.atleast_1d(params["x"]))
     route = str(params["route"])
     if route not in ("g1", "g2"):
         raise DomainError(f"unknown recursion route {route!r}")
@@ -421,8 +437,8 @@ def _check_parseval(family, params, cfg):
     pp = _parseval_params(params)
     norm = a_norm_rhs if family == "a" else b_norm_rhs
     h_k, h_l = norm(n, k, pp), norm(m, l, pp)
-    res = _row_product([(_orthogonality_integrand(family, n, k, m, l, pp),
-                         (-math.inf, math.inf))], cfg or _CFG_PARSEVAL)
+    res = _row_product([partial(integrate_1d, _orthogonality_integrand(
+        family, n, k, m, l, pp), (-math.inf, math.inf))], cfg or _CFG_PARSEVAL)
     return _orth(res, (n, k) == (m, l), h_k, h_l)
 
 
@@ -523,8 +539,8 @@ _CATALOG = {
     "cone-orth-laguerre": (partial(_check_cone_orth, "laguerre"), 1e-8),
     "cone-orth-jacobi": (partial(_check_cone_orth, "jacobi"), 1e-8),
     "ft-f": (_check_ft_f, 1e-6),
-    "ft-g-laguerre": (_check_ft_g_laguerre, 1e-6),
-    "ft-g-jacobi": (_check_ft_g_jacobi, 1e-6),
+    "ft-g-laguerre": (partial(_check_ft_g, "laguerre"), 1e-6),
+    "ft-g-jacobi": (partial(_check_ft_g, "jacobi"), 1e-6),
     "theta-dual": (_check_theta_dual, 1e-11),
     "fd-recursion": (_check_fd_recursion, 1e-11),
     "parseval-a": (partial(_check_parseval, "a"), 1e-5),
@@ -628,18 +644,22 @@ def default_grids(seed: int = 0) -> dict:
     grids["ft-f"] = [
         {"k": (kk,), "a": a, "mu": 0.8, "xi": (x,)}
         for kk in range(3) for a in (0.75, 1.0)
-        for x in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)]
+        for x in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)] + [
+        {"k": k, "a": 0.75, "mu": 0.8, "xi": xi}
+        for k, xi in (((1, 1), (0.5, -1.0)), ((0, 2), (1.0, 0.0)),
+                      ((1, 0, 1), (0.5, -0.5, 1.0)),
+                      ((0, 2, 1), (-1.0, 0.5, 0.5)))]
 
+    # d = 1 rows at two frequencies, then one d = 2 and one d = 3 row
+    g_rows = [(n, (kk,), xi) for (n, kk) in ((0, 0), (1, 1))
+              for xi in ((0.0, 0.0), (1.0, -0.5))] + [
+        (2, (1, 1), (0.5, -1.0, 0.5)), (2, (0, 1, 1), (1.0, -0.5, 0.5, 0.5))]
     lag = {"a": 0.7, "b": 1.2, "beta": 0.5, "mu": 0.9}
-    grids["ft-g-laguerre"] = [
-        {"n": n, "k": (kk,), "xi": xi, **lag}
-        for (n, kk) in ((0, 0), (1, 1))
-        for xi in ((0.0, 0.0), (1.0, -0.5))]
+    grids["ft-g-laguerre"] = [{"n": n, "k": k, "xi": xi, **lag}
+                              for n, k, xi in g_rows]
     jac = {"a": 0.8, "b": 1.1, "c": 0.9, "beta": 0.4, "mu": 0.7, "gamma": 0.6}
-    grids["ft-g-jacobi"] = [
-        {"n": n, "k": (kk,), "xi": xi, **jac}
-        for (n, kk) in ((0, 0), (1, 1))
-        for xi in ((0.0, 0.0), (1.0, -0.5))]
+    grids["ft-g-jacobi"] = [{"n": n, "k": k, "xi": xi, **jac}
+                            for n, k, xi in g_rows]
 
     sweeps = []
     for _ in range(20):

@@ -142,6 +142,17 @@ def test_check_report_schema(capsys):
     assert rep["pass"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("ball-eigen", "k=1", "mu=0.9", "x=0.3"),
+    ("fd-recursion", "k=2", "a=0.8", "mu=0.6", "x=0.3", "route=g2")],
+    ids=["ball-eigen", "fd-recursion"])
+def test_check_one_coordinate_point(capsys, argv):
+    # a single x reaches the check as a scalar, not a 1-tuple
+    code, out, _ = run_cli(capsys, "check", *argv)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 # ---------------------------------------------------------------- suite
 
 def test_suite_empty_ids_exit_0(tmp_path, capsys):

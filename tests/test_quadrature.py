@@ -2,6 +2,9 @@
 
 import inspect
 import math
+from functools import partial
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +17,11 @@ from conefourier import (DomainError, IntegralResult, NonConvergenceError,
 from conefourier.verify import _row_product
 
 _LINE = (-math.inf, math.inf)
+
+
+def _ladder(f, interval):
+    """A _row_product ladder: f's rows on one batched 1-d rule."""
+    return partial(integrate_1d, f, interval)
 
 
 def _check_contract(res, cfg):
@@ -280,14 +288,13 @@ def test_fourier_rejects_large_frequency():
     with pytest.raises(DomainError):
         fourier_num(lambda x: 1.0 / np.cosh(x), 9.0)
     with pytest.raises(DomainError):
-        fourier_num(lambda x, y: np.exp(-x * x - y * y), (0.5, -8.5))
+        fourier_num(lambda x: np.stack([np.exp(-x * x)] * 2), (0.5, -8.5))
 
 
 def test_fourier_t_axis_is_laguerre_or_none():
     # a Jacobi t-axis is a plain x-axis: it takes no t_axis
     with pytest.raises(DomainError):
-        fourier_num(lambda x, t: np.exp(-x * x - t * t), (0.0, 0.0),
-                    t_axis="jacobi")
+        fourier_num(lambda t: np.exp(-t * t), 0.0, t_axis="jacobi")
 
 
 def test_fourier_cross_check_agrees():
@@ -298,6 +305,59 @@ def test_fourier_cross_check_agrees():
                                       rel=1e-6)
 
 
+def test_fourier_rows_take_one_frequency_each():
+    # one row per factor, one frequency per row, one value per row; a
+    # Laguerre t axis maps the whole call through x = 2 atanh(u)
+    cfg = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6)
+    sech = lambda x: 1.0 / np.cosh(x)
+    want = [math.pi, math.pi / math.cosh(math.pi / 2.0)]
+    for t_axis in (None, "laguerre"):
+        res = fourier_num(lambda x: np.stack([sech(x), sech(x)]), (0.0, 1.0),
+                          cfg, t_axis=t_axis)
+        assert res.converged
+        assert np.shape(res.value) == (2,)
+        assert res.value == pytest.approx(want, rel=1e-6)
+    # a scalar frequency is shared by every row
+    res = fourier_num(lambda x: np.stack([sech(x), 2.0 * sech(x)]), 1.0, cfg)
+    assert res.value == pytest.approx([want[1], 2.0 * want[1]], rel=1e-6)
+
+
+def test_gk_whole_line_splits_before_accepting():
+    # on (-60, 60) the nodes of one 15-point panel next to 0 sit at
+    # |x| >= 12.5, where x^2 e^{-x^2} is an exact 0: that panel reads 0
+    # with a zero error estimate
+    cfg = QuadratureConfig(rule="adaptive-GK", abs_tol=1e-10, rel_tol=1e-10)
+    res = integrate_1d(lambda x: x * x * np.exp(-x * x), _LINE, cfg)
+    assert res.converged
+    assert res.value == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-10)
+
+
+def test_fourier_cross_check_flags_a_disagreement(monkeypatch):
+    real = quadrature._gk_integrate
+    monkeypatch.setattr(
+        quadrature, "_gk_integrate",
+        lambda *args: replace(real(*args), value=real(*args).value + 1e-3))
+    cfg = QuadratureConfig(rule="adaptive-GK", abs_tol=1e-6, rel_tol=1e-6)
+    res = fourier_num(lambda x: 1.0 / np.cosh(x), 0.5, cfg)
+    assert not res.converged
+    assert res.error_estimate == pytest.approx(1e-3, rel=1e-3)
+
+
+def test_row_product_fails_an_unconverged_ladder():
+    # a ladder can report no convergence while every row's estimate meets
+    # the contract, as a cross-check that disagrees within the tolerance
+    cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
+    good = _ladder(lambda x: np.exp(-x * x)[None], (-30.0, 30.0))
+
+    def flagged(cfg):
+        return IntegralResult(np.array([2.0]), np.array([1e-12]), 10, False)
+
+    with pytest.raises(NonConvergenceError, match="ladder 1 did not") as err:
+        _row_product([good, flagged], cfg)
+    assert not err.value.result.converged
+    assert err.value.result.value == pytest.approx(2.0 * math.sqrt(math.pi))
+
+
 def test_parseval_classical_pair():
     # pi sech(pi xi / 2) in a form that cannot overflow: the whole-line
     # ladder samples out to |xi| ~ 1e299
@@ -306,7 +366,8 @@ def test_parseval_classical_pair():
         return 2.0 * math.pi * e / (1.0 + e * e)
 
     def rows(count):
-        return [(lambda s: np.tile(F(s) * np.conj(F(s)), (count, 1)), _LINE)]
+        return [_ladder(lambda s: np.tile(F(s) * np.conj(F(s)), (count, 1)),
+                        _LINE)]
 
     cfg = QuadratureConfig()
     res = _row_product(rows(1), cfg)
@@ -317,8 +378,8 @@ def test_parseval_classical_pair():
     assert res5.value == pytest.approx((4.0 * math.pi) ** 5, rel=1e-9)
     assert res5.evaluations == 5 * res.evaluations
     # and so do the rows of separate ladders, on any interval
-    half = _row_product(rows(2) + [(lambda s: np.exp(-s)[None], (0.0, 1.0))],
-                        cfg)
+    half = _row_product(
+        rows(2) + [_ladder(lambda s: np.exp(-s)[None], (0.0, 1.0))], cfg)
     assert half.value == pytest.approx((4.0 * math.pi) ** 2
                                        * (1.0 - math.exp(-1.0)), rel=1e-9)
 
@@ -331,7 +392,7 @@ def test_parseval_vanishing_factor_error_covers_zero():
     half = lambda x: np.exp(-0.5 * np.abs(x) * np.minimum(np.abs(x), 1e3))
     gauss = lambda x: half(x) ** 2
     cfg = QuadratureConfig()
-    res = _row_product([(lambda x: np.stack([
+    res = _row_product([_ladder(lambda x: np.stack([
         gauss(x) * gauss(x), ((x * half(x)) ** 2 - 0.25 * gauss(x)) * gauss(x)]),
         _LINE)], cfg)
     assert res.value != 0.0
@@ -347,16 +408,16 @@ def test_parseval_names_first_row_that_misses():
     jump = lambda s: np.where(s < 0.3, 1.0, -1.0) * gauss(s)
     cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8, max_levels=6)
     with pytest.raises(NonConvergenceError, match="row 1 did not") as err:
-        _row_product([(lambda s: np.stack([gauss(s), jump(s), gauss(s),
-                                           jump(s)]), _LINE)], cfg)
+        _row_product([_ladder(lambda s: np.stack([gauss(s), jump(s), gauss(s),
+                                                  jump(s)]), _LINE)], cfg)
     res = err.value.result
     assert not res.converged
     assert res.evaluations > 0
     assert res.error_estimate > cfg.abs_tol
     # rows are numbered across ladders, in ladder order
     with pytest.raises(NonConvergenceError, match="row 2 did not"):
-        _row_product([(lambda s: np.stack([gauss(s), gauss(s)]), _LINE),
-                      (lambda s: jump(s)[None], _LINE)], cfg)
+        _row_product([_ladder(lambda s: np.stack([gauss(s), gauss(s)]), _LINE),
+                      _ladder(lambda s: jump(s)[None], _LINE)], cfg)
 
 
 def test_de_roundoff_floor_follows_the_absolute_integral():

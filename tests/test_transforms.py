@@ -22,11 +22,12 @@ from conefourier import (DomainError, FreqVector, JacobiConeParams,
                          PoleError, QuadratureConfig, TransformParamsJacobi,
                          TransformParamsLaguerre, a_family, a_family_factors,
                          a_norm_rhs, b_family, b_family_factors, b_norm_rhs,
-                         ball_norm, cone_norm, f_d, f_d_via_g1,
-                         f_d_via_g2, fourier_num, ft_f_closed,
+                         ball_norm, ball_op, check_identity, cone_norm, f_d,
+                         f_d_via_g1, f_d_via_g2, fourier_num, ft_f_closed,
                          ft_g_jacobi_closed, ft_g_laguerre_closed, g_jacobi,
-                         g_laguerre, gamma_cx, lambda_factor, theta_hahn,
-                         pochhammer, theta_hyper, xi_factor)
+                         g_laguerre, gamma_cx, integrate_tensor,
+                         lambda_factor, theta_hahn, pochhammer, theta_hyper,
+                         xi_factor)
 from conefourier.kernel import _pfq_terminating
 
 CFG_FT = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6)
@@ -72,6 +73,46 @@ def test_f_d_recursion_consistency():
             scale = max(abs(direct), 1e-8)
             assert abs(g1 - direct) <= 1e-12 * scale
             assert abs(g2 - direct) <= 1e-12 * scale
+
+
+def _f_d_mpmath(x, k, a, mu):
+    """f_d as the product of its axis factors in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        d, value = len(k), mpmath.mpf(1)
+        for j in range(1, d + 1):
+            tail = sum(k[j:])
+            xj = mpmath.mpf(x[j - 1])
+            value *= (mpmath.sech(xj) ** (2 * a + tail + mpmath.mpf(d - j) / 2)
+                      * mpmath.gegenbauer(k[j - 1], mu + tail
+                                          + mpmath.mpf(d - j) / 2,
+                                          mpmath.tanh(xj)))
+        return float(value)
+
+
+@pytest.mark.parametrize("x1", [10.0, 15.0, 19.0, 25.0])
+def test_f_d_far_out_matches_mpmath(x1):
+    # 1 - tanh^2 x cancels far out: the nested ball point lost 5.3e-4
+    # relative at x1 = 15 and 3.5e-8 at x1 = 10
+    x, k, a, mu = (x1, 0.5), (0, 2), 0.8, 0.6
+    want = _f_d_mpmath(x, k, a, mu)
+    assert abs(f_d(x, k, a, mu) - want) <= 1e-13 * abs(want)
+
+
+def test_f_d_is_the_ball_basis_at_the_nested_tanh_point():
+    # the paper's definition: prod_j (1 - tanh^2 x_j)^(a + (d-j)/4) times
+    # ball_op at y_j = tanh x_j sqrt(prod_{i<j} (1 - tanh^2 x_i))
+    rng = np.random.default_rng(18)
+    for d in (1, 2, 3, 4):
+        for _ in range(10):
+            k = tuple(int(v) for v in rng.integers(0, 3, size=d))
+            x = rng.uniform(-3.0, 3.0, size=d)
+            a, mu = rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.8)
+            s2 = 1.0 / np.cosh(x) ** 2
+            y = np.tanh(x) * np.sqrt(np.concatenate([[1.0], np.cumprod(s2)[:-1]]))
+            pref = math.prod(s2[j] ** (a + (d - 1 - j) / 4.0) for j in range(d))
+            want = pref * ball_op(k, mu, tuple(y))
+            assert f_d(tuple(x), k, a, mu) == pytest.approx(
+                want, rel=1e-12, abs=1e-13 * pref)
 
 
 # ----------------------------------------------------------- cone families
@@ -434,24 +475,40 @@ def test_ft_f_conjugate_symmetry():
         assert abs(minus - plus.conjugate()) <= 1e-12 * abs(plus)
 
 
+def _atanh_cube(f, xi, scales):
+    """The unfactored transform int exp(-i <xi, x>) f(*x) dx over R^n,
+    every axis mapped through x = c atanh(u), c from scales, on (-1, 1)."""
+    def integrand(*us):
+        xs = [c * np.arctanh(u) for u, c in zip(us, scales)]
+        jac = math.prod(c / ((1.0 - u) * (1.0 + u)) for u, c in zip(us, scales))
+        phase = sum(v * x for v, x in zip(xi, xs))
+        return f(*xs) * np.exp(-1j * phase) * jac
+
+    return integrate_tensor(integrand, [(-1.0, 1.0)] * len(xi), CFG_FT).value
+
+
 def test_ft_f_matches_numerical_d2():
+    # the closed form, the factored oracle (one ladder of f_d's axis
+    # factors) and the unfactored 2-d integral over the atanh square agree
     k, a, mu = (1, 1), 0.9, 0.8
     xi = (0.4, -1.1)
     closed = ft_f_closed(k, a, mu, FreqVector(xi))
-    res = fourier_num(lambda *xs: f_d(xs, k, a, mu), xi, CFG_FT)
-    assert res.converged
-    assert abs(closed - res.value) < 1e-6 * abs(res.value)
+    rep = check_identity("ft-f", {"k": k, "a": a, "mu": mu, "xi": xi})
+    assert rep.passed
+    tensor = _atanh_cube(lambda *xs: f_d(xs, k, a, mu), xi, (1.0, 1.0))
+    assert abs(closed - tensor) < 1e-6 * abs(tensor)
+    assert abs(rep.rhs - tensor) < 1e-6 * abs(tensor)
 
 
 def test_ft_f_matches_numerical_d3():
     # exercises the j-weighted power of 2 in the prefactor: the two index
-    # placements get different exponents and both must match the integral
-    a, mu = 0.8, 0.6
+    # placements get different exponents and both must match the product
+    # of f_d's axis transforms
     for k in [(0, 2, 0), (0, 0, 2)]:
-        closed = ft_f_closed(k, a, mu, FreqVector((0.0, 0.0, 0.0)))
-        res = fourier_num(lambda *xs: f_d(xs, k, a, mu), (0.0, 0.0, 0.0),
-                          CFG_FT)
-        assert abs(closed - res.value) < 1e-6 * abs(res.value)
+        rep = check_identity("ft-f", {"k": k, "a": 0.8, "mu": 0.6,
+                                      "xi": (0.0, 0.0, 0.0)})
+        assert rep.passed
+        assert abs(rep.lhs - rep.rhs) < 1e-6 * abs(rep.rhs)
 
 
 # ------------------------------------------------------------ ft_g closed
@@ -471,12 +528,19 @@ def test_ft_g_laguerre_collapse():
 
 
 def test_ft_g_laguerre_matches_numerical():
+    # the closed form, the factored oracle (an x ladder times a t ladder)
+    # and the unfactored (x, t) integral, t mapped through 2 atanh, agree
     tp = TransformParamsLaguerre(0.7, 1.2, 0.5, 0.9)
     xi = (0.6, -0.8)
     closed = ft_g_laguerre_closed((1,), 2, tp, FreqVector(xi))
-    res = fourier_num(lambda x, t: g_laguerre(t, (x,), (1,), 2, tp), xi,
-                      CFG_FT, t_axis="laguerre")
-    assert abs(closed - res.value) < 1e-6 * abs(res.value)
+    rep = check_identity("ft-g-laguerre", {"n": 2, "k": (1,), "a": 0.7,
+                                           "b": 1.2, "beta": 0.5, "mu": 0.9,
+                                           "xi": xi})
+    assert rep.passed
+    tensor = _atanh_cube(lambda x, t: g_laguerre(t, (x,), (1,), 2, tp), xi,
+                         (1.0, 2.0))
+    assert abs(closed - tensor) < 1e-6 * abs(tensor)
+    assert abs(rep.rhs - tensor) < 1e-6 * abs(tensor)
 
 
 def test_ft_g_jacobi_collapse():
@@ -496,18 +560,23 @@ def test_ft_g_jacobi_separable_case():
     tp = TransformParamsJacobi(0.5, 1.0, 1.0, 0.5, 1.0, 0.5)
     closed = ft_g_jacobi_closed((0,), 0, tp, FreqVector((0.0, 0.0)))
     assert abs(closed - 2 * math.pi) < 1e-13
-    res = fourier_num(lambda x, t: g_jacobi(t, (x,), (0,), 0, tp),
-                      (0.0, 0.0), CFG_FT)
-    assert abs(closed - res.value) < 1e-6 * abs(res.value)
+    # the t section at x = 0 and the x section at t = 0 (both 1 there)
+    res = fourier_num(lambda s: np.stack([g_jacobi(s, (0.0,), (0,), 0, tp),
+                                          g_jacobi(0.0, (s,), (0,), 0, tp)]),
+                      0.0, CFG_FT)
+    assert res.value == pytest.approx([2.0, math.pi], rel=1e-6)
+    assert abs(closed - np.prod(res.value)) < 1e-6 * abs(closed)
 
 
 def test_ft_g_jacobi_matches_numerical():
     tp = TransformParamsJacobi(0.8, 1.1, 0.9, 0.4, 0.7, 0.6)
     xi = (0.3, 1.4)
     closed = ft_g_jacobi_closed((1,), 2, tp, FreqVector(xi))
-    res = fourier_num(lambda x, t: g_jacobi(t, (x,), (1,), 2, tp), xi,
-                      CFG_FT)
-    assert abs(closed - res.value) < 1e-6 * abs(res.value)
+    rep = check_identity("ft-g-jacobi", {"n": 2, "k": (1,), "a": 0.8,
+                                         "b": 1.1, "c": 0.9, "beta": 0.4,
+                                         "mu": 0.7, "gamma": 0.6, "xi": xi})
+    assert rep.passed
+    assert abs(closed - rep.rhs) < 1e-6 * abs(rep.rhs)
 
 
 # ------------------------------------------------------------ A/B families

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from conefourier import (DomainError, JacobiConeParams, LaguerreConeParams,
                          MultiIndex, NonConvergenceError, ParsevalParams,
                          QuadratureConfig, a_family, a_family_factors,
                          b_family, b_family_factors, ball_op, check_identity,
-                         cone_norm, default_grids, gamma_cx, integrate_1d,
-                         integrate_tensor, jacobi_cone, run_suite)
+                         cone_norm, default_grids, f_d, fourier_num, gamma_cx,
+                         integrate_1d, integrate_tensor, jacobi_cone,
+                         run_suite)
 from conefourier.transforms import _orthogonality_integrand
 
 _PP_ARGS = {"a1": 0.8, "a2": 0.6, "b1": 0.9, "b2": 0.7, "c1": 1.1, "c2": 0.5}
@@ -127,8 +129,10 @@ def test_report_passed_implies_finite():
 
 def test_ft_f_default_grid_shape():
     reps = run_suite(["ft-f"])
-    assert len(reps) == 36
+    assert len(reps) == 40
     assert all(r.passed for r in reps)
+    dims = [len(r.params_dict()["k"]) for r in reps]
+    assert [dims.count(d) for d in (1, 2, 3)] == [36, 2, 2]
 
 
 def test_empty_selection():
@@ -165,19 +169,51 @@ def test_failure_isolation(monkeypatch):
                         "jacobi-orth": True}
 
 
-def test_orthogonality_checks_never_call_the_tensor_rule(monkeypatch):
-    # every multivariate orthogonality check is a product of 1-d ladders
+def test_multivariate_checks_never_call_the_tensor_rule(monkeypatch):
+    # every multivariate orthogonality and Fourier check is a product of
+    # 1-d ladders
     def refuse(*args, **kwargs):
         raise AssertionError("integrate_tensor called")
 
     monkeypatch.setattr(quadrature, "integrate_tensor", refuse)
     ids = ["ball-orth", "cone-orth-laguerre", "cone-orth-jacobi",
-           "parseval-a", "parseval-b"]
+           "parseval-a", "parseval-b", "ft-f", "ft-g-laguerre",
+           "ft-g-jacobi"]
     result = run_suite(ids)
     assert all(r.passed for r in result)
     assert {r.id for r in result} == set(ids)
     dims = {len(r.params_dict()["k"]) for r in result}
     assert {1, 2, 3} <= dims
+
+
+_FT_IDS = ["ft-f", "ft-g-laguerre", "ft-g-jacobi"]
+_GK_FOURIER = QuadratureConfig(rule="adaptive-GK", abs_tol=1e-7, rel_tol=1e-7)
+
+
+def test_ft_rows_converge_under_the_gk_cross_check():
+    # a GK run that starts from one panel over (-60, 60) accepted 0 for
+    # this odd transform's imaginary part with a zero error estimate, and
+    # the cross-check flagged the disagreement
+    res = fourier_num(lambda x: f_d((x,), (1,), 0.75, 0.8), 1.0, _GK_FOURIER)
+    assert res.converged
+    result = run_suite(_FT_IDS, cfg=_GK_FOURIER)
+    assert all(r.passed for r in result)
+    assert {len(r.params_dict()["k"]) for r in result} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("id", _FT_IDS)
+def test_ft_check_fails_when_the_cross_check_disagrees(monkeypatch, id):
+    real = quadrature._gk_integrate
+
+    def shifted(*args):
+        res = real(*args)
+        return replace(res, value=res.value + 1e-3)
+
+    monkeypatch.setattr(quadrature, "_gk_integrate", shifted)
+    params = default_grids()[id][-1]
+    rep = check_identity(id, params, _GK_FOURIER)
+    assert not rep.passed
+    assert "did not converge" in rep.reason
 
 
 def test_cone_orth_d3_laguerre_diagonal_is_cheap():
