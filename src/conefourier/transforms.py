@@ -9,7 +9,8 @@ evaluates rows with one gamma_cx call (_Gammas), taking a Gamma product
 that overflows in log space, or by reflection far out on the real axis,
 and the series of all rows in one loop over columns compiled when it is
 built.  The Parseval integrand evaluates its rows only inside the reach
-past which every Gamma of them is an exact 0.
+past which every Gamma of them is an exact 0, and takes their Gamma
+products from one table shared by every check with the same Gamma slots.
 
 Conventions
 -----------
@@ -22,6 +23,7 @@ reals, so no branch ambiguity arises.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -272,13 +274,18 @@ def _coords(x, d: int):
     return seq
 
 
+def _f_power(k: MultiIndex, a, j: int) -> float:
+    """The power a + |k^{j+1}|/2 + (d-j)/4 of sech^2 x_j in factor j of f_d."""
+    return a + k.tail(j + 1) / 2.0 + (k.d - j) / 4.0
+
+
 def _f_factor(k: MultiIndex, a, mu, j: int, x):
     """Factor j (1-based) of f_d at x_j = x:
     sech^2(x)^(a + |k^{j+1}|/2 + (d-j)/4) C_{k_j}^(lambda_j)(tanh x).
     The power of sech^2 is taken whole: a (1 - tanh^2 x) would round to
     0 past |x| of about 19, and lose digits well before."""
     x = np.asarray(x, dtype=np.float64)
-    return (_sech2(x) ** (a + k.tail(j + 1) / 2.0 + (k.d - j) / 4.0)
+    return (_sech2(x) ** _f_power(k, a, j)
             * gegenbauer(k[j - 1], k.lambda_j(j, mu), np.tanh(x)))
 
 
@@ -568,8 +575,10 @@ class _Rows:
         self.poch = (rows, head[rows, 3:4], head[rows, 4:5],
                      head[rows, 5:6].real)
 
-    def __call__(self, z):
-        pre, z = self.gammas(z)
+    def __call__(self, z, gammas=None):
+        """The rows at z; gammas, if given, is the pair self.gammas
+        returned for these points, and takes z's place."""
+        pre, z = self.gammas(z) if gammas is None else gammas
         w = self.shift + self.slope * z
         term = np.ones(z.shape, dtype=np.complex128)
         value = term.copy()
@@ -797,6 +806,49 @@ def _family_value(family: str, t, x, k, n: int, pp: ParsevalParams,
         f(z) for f, z in zip((t_factor, *axis_factors), zs))))
 
 
+class _GammaTable:
+    """Values computed once per key and kept, least recently used first
+    out, while the bytes of their arrays and of the keys' node bytes (a
+    key's last item) stay within max_bytes; a value larger than that is
+    returned but not kept.  Kept arrays are read-only."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries = OrderedDict()
+
+    def get(self, key, compute):
+        """The value of key: the kept one, or else compute()."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            return entry[0]
+        value = compute()
+        size = len(key[-1]) + sum(a.nbytes for a in value)
+        if size <= self.max_bytes:
+            for a in value:
+                a.flags.writeable = False
+            self._entries[key] = (value, size)
+            self.nbytes += size
+            while self.nbytes > self.max_bytes:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.nbytes -= dropped
+        return value
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+
+# The Gamma parts of the Parseval integrand, keyed by the rows' Gamma slots,
+# the reach and the nodes.  At d = 1 they depend only on the family and the
+# parameter pairs, so every check of a grid over one parameter set shares
+# them, level by level of the ladder.  4 MiB holds a parseval pass (25
+# checks) many times over, and a d = 1 level 12 (27,764 nodes, 1.5 MB),
+# the deepest a non-converging default ladder climbs to.
+_GAMMA_TABLE = _GammaTable(4 << 20)
+
+
 def _orthogonality_integrand(family: str, n: int, k: MultiIndex, m: int,
                              l: MultiIndex, pp: ParsevalParams):
     """The whole-line ladder integrand of the (n, k) x (m, l) orthogonality
@@ -812,7 +864,15 @@ def _orthogonality_integrand(family: str, n: int, k: MultiIndex, m: int,
     conjugate of the swapped (m, l) factor at -is.  Every row is finite
     on the whole line, an exact 0 where its Gamma products underflow:
     past |s| = reach, where every Gamma of both sides is, the rows are not
-    evaluated."""
+    evaluated.
+
+    The Gamma part of a call (the live nodes, and the Gamma products with
+    z = +-is, z at 0 where a product underflows) depends only on the rows'
+    Gamma slots, the reach and the nodes, so it comes from _GAMMA_TABLE:
+    checks that share a family and parameter pairs (at d = 1, every check
+    of a grid over them) share one Gamma table.  A missing entry is
+    computed as it would be without the table, so no value depends on
+    which checks ran before."""
     swapped = ParsevalParams(pp.a2, pp.a1, pp.b2, pp.b1, pp.c2, pp.c1)
     factors = []
     for kk, nn, p in ((k, n, pp), (l, m, swapped)):
@@ -828,10 +888,16 @@ def _orthogonality_integrand(family: str, n: int, k: MultiIndex, m: int,
     slots = zip(rows.gammas.g.ravel().tolist(),
                 np.abs(rows.gammas.c).ravel().tolist())
     reach = max(_gamma_zero_beyond(g) / c for g, c in set(slots))
+    key = (tuple((f.gammas, f.den_gamma) for f in factors), reach)
+
+    def gamma_part(s):
+        live = np.abs(s) < reach
+        return (live, *rows.gammas(sign * s[live]))
 
     def integrand(s):
-        live = np.abs(s) < reach
-        value = rows(sign * s[live])
+        live, pre, z = _GAMMA_TABLE.get(
+            (*key, s.dtype.str, s.shape, s.tobytes()), partial(gamma_part, s))
+        value = rows(z, (pre, z))
         out = np.zeros((half, s.size), dtype=np.complex128)
         out[:, live] = value[:half] * value[half:]
         return out

@@ -135,16 +135,20 @@ def continuous_hahn(k: int, x, a, b, c, d):
                          3F2(-k, k+a+b+c+d-1, a+ix; a+c, a+d; 1).
 
     x and the parameters are complex-compatible; x may be an array.
+    Raises DomainError where the value is not finite, as where the
+    series overflows at large |x|.
     """
     k = _check_degree(k)
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     xc = np.asarray(x, dtype=np.complex128)
     lead = (_I_POWERS[k % 4] * pochhammer(a + c, k) * pochhammer(a + d, k)
             / math.factorial(k))
-    series = _pfq_terminating(
-        (-k, k + a + b + c + d - 1.0, a + 1j * xc),
-        (a + c, a + d),
-        1.0,
-    )
-    out = lead * series
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = lead * _pfq_terminating(
+            (-k, k + a + b + c + d - 1.0, a + 1j * xc),
+            (a + c, a + d),
+            1.0,
+        )
+    if not np.isfinite(out).all():
+        raise DomainError("continuous_hahn is not finite at this argument")
     return out if np.ndim(x) else complex(out)

@@ -18,7 +18,8 @@ run at rel 1e-10; ball and cone inner products at 1e-8; Fourier
 transforms, products of whole-line 1-d transforms, at 1e-6; Parseval
 integrals at 1e-5.  Off-diagonal orthogonality entries are judged by
 absolute error relative to the diagonal scale, since relative error at a
-true zero is meaningless.
+true zero is meaningless; fd-recursion judges on the point's envelope, a
+bound on |f_d(x)|, which a value far below 1 cannot hide under.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
 from .quadrature import (IntegralResult, NonConvergenceError, QuadratureConfig,
                          _meets, fourier_num, integrate_1d)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
-                         TransformParamsLaguerre, _f_factor, _jacobi_t_part,
-                         _laguerre_t_part, _orthogonality_integrand,
+                         TransformParamsLaguerre, _f_factor, _f_power,
+                         _jacobi_t_part, _laguerre_t_part,
+                         _orthogonality_integrand, _sech2,
                          a_norm_rhs, b_norm_rhs, f_d, f_d_via_g1, f_d_via_g2,
                          ft_f_closed, ft_g_jacobi_closed, ft_g_laguerre_closed,
                          theta_hahn, theta_hyper)
@@ -415,7 +417,15 @@ def _check_fd_recursion(params, cfg):
         raise DomainError(f"unknown recursion route {route!r}")
     lhs = f_d(x, k, a, mu)
     rhs = f_d_via_g1(x, k, a, mu) if route == "g1" else f_d_via_g2(x, k, a, mu)
-    return lhs, rhs, max(1.0, abs(rhs)), 0
+    # the point's envelope prod_j sech^2(x_j)^e_j C_{k_j}^(lambda_j)(1),
+    # e_j and lambda_j as in _f_factor, bounds |f_d(x)|: |C_n^lambda| <=
+    # C_n^lambda(1) on [-1, 1] for lambda > 0.  Its floor keeps a point
+    # where it underflows, and both routes give 0, off 0 / 0
+    envelope = math.prod(
+        float(_sech2(xj)) ** _f_power(k, a, j)
+        * abs(float(gegenbauer(k[j - 1], k.lambda_j(j, mu), 1.0)))
+        for j, xj in enumerate(x, 1))
+    return lhs, rhs, max(envelope, np.finfo(np.float64).tiny), 0
 
 
 # ----------------------------------------------------------------------

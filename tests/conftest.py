@@ -1,14 +1,26 @@
-"""Shared quadrature oracles built on scipy node tables.
+"""Shared quadrature oracles built on scipy node tables, and a fixture
+that empties the Parseval Gamma table before each test.
 
 The inner products of the product bases separate into one-dimensional
 Jacobi- and Laguerre-weight integrals of polynomials, so Gauss rules with
-enough nodes evaluate them to machine precision.  Everything here uses
+enough nodes evaluate them to machine precision.  Every oracle here uses
 scipy's independent evaluators and node tables, never the library's own
 code paths.
 """
 
 import numpy as np
+import pytest
 from scipy import special as sp
+
+from conefourier import transforms
+
+
+@pytest.fixture(autouse=True)
+def _empty_gamma_table():
+    """Each test starts from an empty Parseval Gamma table, so that a test
+    that patches gamma_cx, _gamma_zero_beyond or _reflected_pair is never
+    served an entry computed before its patch."""
+    transforms._GAMMA_TABLE.clear()
 
 
 def ball_inner_oracle(k, l, mu):

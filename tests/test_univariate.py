@@ -1,6 +1,7 @@
 """Gegenbauer, Laguerre, Jacobi, and continuous Hahn families."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,3 +231,14 @@ def test_hahn_is_degree_k_in_x():
     for order in range(1, k + 2):
         dd = (dd[1:] - dd[:-1]) / (xs[order:] - xs[:-order])
     assert abs(dd[0]) < 1e-9 * scale
+
+
+def test_hahn_large_argument_is_finite_or_domain_error():
+    # the degree-3 series grows as x^3: finite at x = 1e100, past the
+    # double range at 1e200, where it raises with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(continuous_hahn(3, 1e100, 0.5, 0.6, 0.7, 0.8))
+        for x in (1e200, np.array([0.5, 1e200])):
+            with pytest.raises(DomainError, match="not finite"):
+                continuous_hahn(3, x, 0.5, 0.6, 0.7, 0.8)

@@ -317,6 +317,23 @@ def test_offdiagonal_scale_survives_an_overflowing_norm_product():
     assert rep.rel_err > rep.tol
 
 
+def test_fd_recursion_judges_on_the_points_envelope(monkeypatch):
+    # f_d is 5.3e-27 at x_1 = 15: on the scale max(1, |rhs|), a g2 route
+    # off by 1e-6 relative passed with rel_err 5.3e-33.  The envelope
+    # prod_j sech^2(x_j)^e_j C_{k_j}^(lambda_j)(1) bounds |f_d| and sees it
+    params = {"x": (15.0, 0.5), "k": (0, 2), "a": 0.8, "mu": 0.6,
+              "route": "g2"}
+    assert check_identity("fd-recursion", params).passed
+    # where the envelope underflows both routes give 0, judged without 0/0
+    assert check_identity("fd-recursion", {**params, "x": (400.0, 0.5)}).passed
+    g2 = verify.f_d_via_g2
+    monkeypatch.setattr(verify, "f_d_via_g2",
+                        lambda *args: g2(*args) * (1.0 + 1e-6))
+    rep = check_identity("fd-recursion", params)
+    assert not rep.passed
+    assert rep.rel_err > 1e-8
+
+
 def test_report_refuses_a_non_finite_scale():
     rep = verify._report("ball-orth", {}, 1.0, 0.0, 0, 0.0, scale=math.inf)
     assert rep.rel_err == 0.0
@@ -440,12 +457,15 @@ def test_parseval_pairs_vanish_at_far_nodes(family):
         assert np.all(f(far) == 0.0)
 
 
-def test_parseval_check_makes_one_gamma_call_per_ladder_call(monkeypatch):
+def test_parseval_check_makes_at_most_one_gamma_call_per_ladder_call(
+        monkeypatch):
     # one _Rows call per integrand call takes the t weights and every axis
-    # pair of both sides in one gamma_cx call, and the series of both
-    # kinds (family a: the argument-2 2F1 and the axis 3F2s) in its
+    # pair of both sides in at most one gamma_cx call, and the series of
+    # both kinds (family a: the argument-2 2F1 and the axis 3F2s) in its
     # compiled loop, with no _pfq_terminating call; one integrand call
-    # takes the DE levels 0-3, each later call one level
+    # takes the DE levels 0-3, each later call one level.  A second check
+    # of the same family and parameters takes every Gamma product from
+    # the table and makes no gamma_cx call
     counts = {"integrand": 0, "rows": 0, "gamma": 0, "series": 0}
 
     def counting(name, fn):
@@ -465,17 +485,22 @@ def test_parseval_check_makes_one_gamma_call_per_ladder_call(monkeypatch):
     monkeypatch.setattr(verify, "integrate_1d", lambda f, interval, cfg: ladder(
         counting("integrand", f), interval, cfg))
     for family in "ab":
-        params = {"n": 2, "k": (1,), "m": 2, "l": (1,), **_PP_ARGS}
-        before = dict(counts)
-        report = check_identity(f"parseval-{family}", params)
-        assert report.passed
-        calls = {key: counts[key] - before[key] for key in counts}
-        assert calls["integrand"] >= 1
-        assert calls == {"integrand": calls["integrand"],
-                         "rows": calls["integrand"],
-                         "gamma": calls["integrand"], "series": 0}
-        # 2 rows on levels 0..(calls + 2): 217 nodes through level 4
-        assert report.evals == 2 * _ladder_nodes(calls["integrand"] + 2)
+        for params, gammas in (({"n": 2, "k": (1,), "m": 2, "l": (1,)}, 1),
+                               ({"n": 1, "k": (0,), "m": 2, "l": (2,)}, 0)):
+            before = dict(counts)
+            report = check_identity(f"parseval-{family}",
+                                    {**params, **_PP_ARGS})
+            assert report.passed
+            calls = {key: counts[key] - before[key] for key in counts}
+            assert calls["integrand"] >= 1
+            assert calls["gamma"] <= gammas * calls["integrand"]
+            assert calls == {"integrand": calls["integrand"],
+                             "rows": calls["integrand"],
+                             "gamma": calls["gamma"], "series": 0}
+            if gammas:
+                # 2 rows on levels 0..(calls + 2): 217 nodes through level 4
+                assert report.evals == 2 * _ladder_nodes(
+                    calls["integrand"] + 2)
 
 
 def _ladder_nodes(level):
@@ -521,9 +546,9 @@ def test_parseval_integrand_skips_only_exact_zeros(monkeypatch, pairs, pp):
     points = []
     rows_call = transforms._Rows.__call__
 
-    def counting(rows, z):
+    def counting(rows, z, gammas=None):
         points.append(z.shape[1])
-        return rows_call(rows, z)
+        return rows_call(rows, z, gammas)
 
     monkeypatch.setattr(transforms._Rows, "__call__", counting)
     with warnings.catch_warnings():
@@ -534,6 +559,47 @@ def test_parseval_integrand_skips_only_exact_zeros(monkeypatch, pairs, pp):
                             lambda re: math.inf)
         for got, f in zip(skipping, _grid_integrands(pairs, pp)):
             assert np.array_equal(got, f(nodes), equal_nan=True)
+
+
+def _d1_grid_outputs(order):
+    rows = [(f"parseval-{family}", {"n": n, "k": (k,), "m": m, "l": (l,),
+                                     **_PP_ARGS})
+            for family in "ab" for (n, k), (m, l)
+            in itertools.combinations_with_replacement(_D1_STATES, 2)]
+    out = {}
+    for i in order(range(len(rows))):
+        r = check_identity(*rows[i])
+        out[i] = (repr(r.lhs), repr(r.rhs), r.evals, r.passed)  # bitwise
+    return out
+
+
+def test_parseval_gamma_table_changes_no_value_and_stays_bounded():
+    # test_09's and test_10's d = 1 grids give the same lhs, rhs and evals
+    # bit for bit whichever checks ran before: forward, reversed, and
+    # again from an empty table
+    forward = _d1_grid_outputs(list)
+    assert transforms._GAMMA_TABLE.nbytes > 0
+    assert _d1_grid_outputs(reversed) == forward
+    transforms._GAMMA_TABLE.clear()
+    assert _d1_grid_outputs(list) == forward
+    assert all(passed for *_, passed in forward.values())
+    # 200 jittered parameter sets and a ladder that climbs to level 12
+    # (ROADMAP item 9's s = 20 off-diagonal) keep the table in its bound,
+    # evicting the grid's entries
+    table = transforms._GAMMA_TABLE
+    grid_keys = set(table._entries)
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        pp = {key: v * rng.uniform(0.98, 1.02) for key, v in _PP_ARGS.items()}
+        check_identity("parseval-b", {"n": 1, "k": (1,), "m": 1, "l": (1,),
+                                      **pp})
+    scaled = {key: 20.0 * _PP_ARGS[key] for key in ("a1", "a2", "b1", "b2")}
+    report = check_identity("parseval-a", {"n": 1, "k": (0,), "m": 0,
+                                           "l": (0,), **scaled})
+    assert not report.passed and "did not converge" in report.reason
+    assert not grid_keys & set(table._entries)
+    assert table.nbytes == sum(size for _, size in table._entries.values())
+    assert 0 < table.nbytes <= table.max_bytes
 
 
 def test_parseval_oracle_never_reflects_a_gamma_pair(monkeypatch):
