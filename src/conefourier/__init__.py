@@ -4,14 +4,13 @@ quadrature oracle plus check engine that certifies every identity the
 library claims.
 """
 
-from .kernel import (Cx, DomainError, PoleError, beta_cx, gamma_cx,
-                     log_gamma_cx, pochhammer)
+from .kernel import (Cx, DomainError, PoleError, gamma_cx, log_gamma_cx,
+                     pochhammer)
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
                            ball_norm, ball_op, cone_basis, cone_norm,
                            jacobi_cone, laguerre_cone)
 from .quadrature import (IntegralResult, NonConvergenceError,
-                         QuadratureConfig, fourier_num, integrate_1d,
-                         integrate_tensor)
+                         QuadratureConfig, fourier_num, integrate_1d)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
                          TransformParamsLaguerre, a_family,
                          a_family_factors, a_norm_rhs, b_family,
@@ -28,11 +27,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cx", "DomainError", "PoleError",
-    "beta_cx", "gamma_cx", "log_gamma_cx", "pochhammer",
+    "gamma_cx", "log_gamma_cx", "pochhammer",
     "JacobiConeParams", "LaguerreConeParams", "MultiIndex", "ball_norm", "ball_op", "cone_basis",
     "cone_norm", "jacobi_cone", "laguerre_cone",
     "IntegralResult", "NonConvergenceError", "QuadratureConfig",
-    "fourier_num", "integrate_1d", "integrate_tensor",
+    "fourier_num", "integrate_1d",
     "FreqVector", "ParsevalParams", "TransformParamsJacobi",
     "TransformParamsLaguerre", "a_family", "a_family_factors", "a_norm_rhs",
     "b_family", "b_family_factors", "b_norm_rhs", "f_d", "f_d_via_g1", "f_d_via_g2", "ft_f_closed",

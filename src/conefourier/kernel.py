@@ -1,4 +1,4 @@
-"""Complex special-function kernel: Gamma, Beta, Pochhammer, and the
+"""Complex special-function kernel: Gamma, Pochhammer, and the
 generalized hypergeometric series engine.
 
 Every operation is a pure function.  Arguments may be Python scalars or
@@ -24,7 +24,6 @@ __all__ = [
     "INTEGRALITY_TOL",
     "gamma_cx",
     "log_gamma_cx",
-    "beta_cx",
     "pochhammer",
 ]
 
@@ -230,16 +229,6 @@ def log_gamma_cx(z):
         real = left & (zc.imag == 0.0)
         lg.imag[real] = math.pi * np.floor(zc.real[real])
     return complex(lg[0]) if scalar else lg.reshape(np.shape(np.asarray(z)))
-
-
-def beta_cx(a, b):
-    """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), in log space.
-    Raises PoleError when a, b or a + b is a pole of Gamma."""
-    ac = np.asarray(a, dtype=np.complex128)
-    bc = np.asarray(b, dtype=np.complex128)
-    scalar = ac.ndim == 0 and bc.ndim == 0
-    val = np.exp(log_gamma_cx(ac) + log_gamma_cx(bc) - log_gamma_cx(ac + bc))
-    return complex(val) if scalar else val
 
 
 # ----------------------------------------------------------------------

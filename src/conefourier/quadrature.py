@@ -1,6 +1,6 @@
 """Independent numerical oracle: tanh-sinh double-exponential quadrature
-with level doubling, adaptive Gauss-Kronrod as a cross-check, tensor
-iterated integration and numerical Fourier transforms.
+with level doubling, adaptive Gauss-Kronrod as a cross-check, and
+numerical Fourier transforms.
 
 Nothing in this module calls the closed-form transforms; every operation
 consumes a raw integrand callable.  Integrands must be vectorized: they
@@ -9,9 +9,7 @@ shape.  Both 1-d rules are vector-valued: an integrand may return shape
 batch + (nodes,), and the rule integrates every row on one shared node
 set, converging only when every row does.  A separable integrand stacks
 its 1-d factors as rows of one call, and fourier_num transforms such
-rows, one frequency per row.  Tensor integration batches the inner axes
-for all outer nodes of a level the same way; it is the unfactored
-reference that the factored oracle is tested against.
+rows, one frequency per row.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ __all__ = [
     "IntegralResult",
     "NonConvergenceError",
     "integrate_1d",
-    "integrate_tensor",
     "fourier_num",
 ]
 
@@ -65,9 +62,6 @@ class QuadratureConfig:
             raise DomainError("tolerances must be positive")
         if self.max_levels < 3:
             raise DomainError("max_levels must be at least 3")
-
-    def tightened(self, factor: float) -> "QuadratureConfig":
-        return replace(self, abs_tol=self.abs_tol * factor, rel_tol=self.rel_tol * factor)
 
 
 @dataclass(frozen=True)
@@ -369,74 +363,6 @@ def integrate_1d(f, interval, cfg: QuadratureConfig | None = None) -> IntegralRe
             f"{np.max(result.error_estimate):.3e} after {result.evaluations} "
             "evaluations",
             result)
-    return result
-
-
-# integrate_tensor asks at most this many points of one integrand call,
-# and gives one batched inner integral at most this many rows: an axis
-# with more is taken in slices of its nodes, so that 3-4 axes run in
-# bounded memory.
-_MAX_POINTS = 1 << 15
-
-
-def integrate_tensor(f, boxes, cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """Iterated integration over a tensor of intervals (dimension <= 4).
-
-    boxes[0] is the outermost axis; every box is a pair of numbers.  f is
-    called as f(*coords) with one coordinate array per axis, all of one
-    shape, and must return an array of that shape.  The outer nodes of
-    each rule level are integrated over the inner axes in one batched
-    call.  Inner-level tolerances tighten by a factor of 10 per nesting
-    level; the error estimate is the outer one plus the largest inner
-    one.  Raises NonConvergenceError naming the failing axis.
-    """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    boxes = [_interval(box) for box in boxes]
-    dims = len(boxes)
-    if not 1 <= dims <= 4:
-        raise DomainError(f"integrate_tensor supports 1..4 dimensions, got {dims}")
-    evals = 0
-    inner_err = 0.0
-    bad_axis = None
-
-    def integrate(axis: int, outer: list) -> IntegralResult:
-        # outer: one array per outer axis, holding those coordinates for
-        # each row of the batch (no rows at the top level)
-        nonlocal inner_err, bad_axis
-        rows = outer[0].size if outer else 1
-        step = max(1, _MAX_POINTS // rows)
-
-        def g(x):
-            nonlocal evals
-            parts = []
-            for i in range(0, x.size, step):
-                xs = x[i:i + step]
-                if axis == dims - 1:
-                    evals += rows * xs.size
-                    parts.append(f(*np.broadcast_arrays(
-                        *[c[:, None] for c in outer], xs)))
-                else:
-                    inner = [np.repeat(c, xs.size) for c in outer]
-                    inner.append(np.tile(xs, rows))
-                    value = integrate(axis + 1, inner).value
-                    parts.append(np.reshape(value, (rows, xs.size) if outer
-                                            else xs.shape))
-            return np.concatenate(parts, axis=-1)
-
-        res = _integrate_1d_result(g, boxes[axis], cfg.tightened(10.0 ** (-axis)))
-        if not res.converged and bad_axis is None:
-            bad_axis = axis
-        if axis > 0:
-            inner_err = max(inner_err, float(np.max(res.error_estimate)))
-        return res
-
-    top = integrate(0, [])
-    result = IntegralResult(top.value, top.error_estimate + inner_err, evals,
-                            top.converged and bad_axis is None)
-    if not result.converged:
-        raise NonConvergenceError(
-            f"tensor integral did not converge on axis {bad_axis or 0}", result)
     return result
 
 

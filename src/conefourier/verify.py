@@ -18,8 +18,9 @@ run at rel 1e-10; ball and cone inner products at 1e-8; Fourier
 transforms, products of whole-line 1-d transforms, at 1e-6; Parseval
 integrals at 1e-5.  Off-diagonal orthogonality entries are judged by
 absolute error relative to the diagonal scale, since relative error at a
-true zero is meaningless; fd-recursion judges on the point's envelope, a
-bound on |f_d(x)|, which a value far below 1 cannot hide under.
+true zero is meaningless; fd-recursion and basis-factor judge on the
+point's envelope, a bound on |f_d(x)| or on the basis element, which a
+value far below 1 cannot hide under.
 """
 
 from __future__ import annotations
@@ -527,6 +528,13 @@ def _check_basis_factor(params, cfg):
         rest *= (1.0 - sj) * (1.0 + sj)
     rhs = math.prod(float(_ball_factor(k, mu, j, sj))
                     for j, sj in enumerate(s, 1))
+    # the point's envelope prod_j (1 - s_j^2)^(|k_>j|/2) C_{k_j}^(lambda_j)(1)
+    # bounds |ball_op| as fd-recursion's bounds |f_d|, and a cone row
+    # carries the t factor both sides share
+    envelope = math.prod(
+        ((1.0 - sj) * (1.0 + sj)) ** (k.tail(j + 1) / 2.0)
+        * abs(float(gegenbauer(k[j - 1], k.lambda_j(j, mu), 1.0)))
+        for j, sj in enumerate(s, 1))
     if basis == "ball":
         lhs = ball_op(k, mu, y)
     else:
@@ -534,8 +542,10 @@ def _check_basis_factor(params, cfg):
         cone = _cone_params(family, params)
         n, t = int(params["n"]), float(params["t"])
         lhs = element(k, n, cone, (t, [t * v for v in y]))
-        rhs *= float(_t_factor(_radial(cone), k, n, mu, t))
-    return lhs, rhs, max(1.0, abs(rhs)), 0
+        t_part = float(_t_factor(_radial(cone), k, n, mu, t))
+        rhs *= t_part
+        envelope *= abs(t_part)
+    return lhs, rhs, max(envelope, np.finfo(np.float64).tiny), 0
 
 
 # id -> (builder, rel tolerance); a builder takes (params, cfg) and

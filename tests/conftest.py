@@ -1,16 +1,18 @@
-"""Shared quadrature oracles built on scipy node tables, and a fixture
-that empties the Parseval Gamma table before each test.
+"""Shared quadrature oracles built on scipy, and a fixture that empties
+the Parseval Gamma table before each test.
 
 The inner products of the product bases separate into one-dimensional
 Jacobi- and Laguerre-weight integrals of polynomials, so Gauss rules with
-enough nodes evaluate them to machine precision.  Every oracle here uses
-scipy's independent evaluators and node tables, never the library's own
-code paths.
+enough nodes evaluate them to machine precision.  The unfactored
+multivariate integrals go to scipy's adaptive cubature.  Every oracle
+here uses scipy's independent evaluators, node tables and rules, never
+the library's own code paths.
 """
 
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy.integrate import cubature
 
 from conefourier import transforms
 
@@ -21,6 +23,24 @@ def _empty_gamma_table():
     that patches gamma_cx, _gamma_zero_beyond or _reflected_pair is never
     served an entry computed before its patch."""
     transforms._GAMMA_TABLE.clear()
+
+
+def cubature_cx(f, box, rtol, atol=0.0):
+    """The unfactored integral of f over box, one (lo, hi) pair per axis,
+    by scipy's gk21 cubature; f takes one coordinate array per axis.  Its
+    real and imaginary parts are two output columns, since cubature casts
+    a complex output to real.  Each column must meet atol + rtol |column|,
+    so a part that integrates to about 0 needs atol.  The integral must
+    converge."""
+    lo, hi = np.array(box, dtype=np.float64).T
+
+    def columns(x):
+        value = np.asarray(f(*x.T), dtype=np.complex128)
+        return np.stack([value.real, value.imag], axis=-1)
+
+    res = cubature(columns, lo, hi, rule="gk21", rtol=rtol, atol=atol)
+    assert res.status == "converged"
+    return complex(res.estimate[0], res.estimate[1])
 
 
 def ball_inner_oracle(k, l, mu):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conefourier import (DomainError, PoleError, beta_cx, gamma_cx,
-                         log_gamma_cx, pochhammer)
+from conefourier import (DomainError, PoleError, gamma_cx, log_gamma_cx,
+                         pochhammer)
 from conefourier.kernel import (_LANCZOS_C, _LANCZOS_G, _SQRT_TWO_PI,
                                 _gamma_zero_beyond, _lanczos_sum,
                                 _pfq_terminating)
@@ -206,20 +206,25 @@ def test_gamma_is_an_exact_zero_past_its_height(re):
 
 
 # ----------------------------------------------------------------- beta
+# B(a, b) as the Gamma quotient the closed forms use
+
+def _beta(a, b):
+    return gamma_cx(a) * gamma_cx(b) / gamma_cx(np.add(a, b))
+
 
 def test_beta_ones():
-    assert beta_cx(1, 1) == pytest.approx(1.0, rel=1e-14)
+    assert _beta(1, 1) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_beta_half_half():
-    assert beta_cx(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
+    assert _beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
 
 
 def test_beta_complex_pair_vs_quadrature():
     # B(1+i, 1-i) = integral_0^1 x^i (1-x)^(-i) dx, the a + i xi/2 pattern
     a, b = 1 + 1j, 1 - 1j
     oracle = mpmath.quad(lambda x: x ** (a - 1) * (1 - x) ** (b - 1), [0, 1])
-    assert beta_cx(a, b) == pytest.approx(complex(oracle), rel=1e-12)
+    assert _beta(a, b) == pytest.approx(complex(oracle), rel=1e-12)
 
 
 @pytest.mark.parametrize("a,b", [(-1.0, 2.5), (2.5, -3.0), (1.5, -1.5),
@@ -227,18 +232,7 @@ def test_beta_complex_pair_vs_quadrature():
 def test_beta_pole_raises(a, b):
     # at a, at b, and at a + b (Gamma(a + b) in the denominator)
     with pytest.raises(PoleError):
-        beta_cx(a, b)
-
-
-@given(st.complex_numbers(min_magnitude=0.2, max_magnitude=5.0,
-                          allow_infinity=False, allow_nan=False),
-       st.complex_numbers(min_magnitude=0.2, max_magnitude=5.0,
-                          allow_infinity=False, allow_nan=False))
-@settings(max_examples=60, deadline=None)
-def test_beta_symmetric(a, b):
-    a = complex(abs(a.real) + 0.2, a.imag)
-    b = complex(abs(b.real) + 0.2, b.imag)
-    assert abs(beta_cx(a, b) - beta_cx(b, a)) <= 1e-13 * abs(beta_cx(a, b))
+        _beta(a, b)
 
 
 # ------------------------------------------------------------ pochhammer

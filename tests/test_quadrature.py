@@ -1,4 +1,4 @@
-"""Quadrature oracle: 1-d and tensor drivers, Fourier path, honesty."""
+"""Quadrature oracle: 1-d driver, Fourier path, honesty."""
 
 import inspect
 import math
@@ -12,8 +12,7 @@ import pytest
 import conefourier.quadrature as quadrature
 from conefourier import (DomainError, IntegralResult, NonConvergenceError,
                          ParsevalParams, QuadratureConfig, a_family_factors,
-                         fourier_num, gamma_cx, integrate_1d,
-                         integrate_tensor)
+                         fourier_num, gamma_cx, integrate_1d)
 from conefourier.verify import _row_product
 
 _LINE = (-math.inf, math.inf)
@@ -136,30 +135,6 @@ def test_gk_truncates_infinite_ends(interval, want):
     assert res.value == pytest.approx(want, rel=1e-10)
 
 
-def test_tensor_unit_square():
-    res = integrate_tensor(lambda x, y: np.ones_like(y), [(0, 1), (0, 1)])
-    assert res.converged
-    assert res.value == pytest.approx(1.0, rel=1e-12)
-
-
-def test_tensor_ball_weight():
-    # mu = 1 weight over the disk in iterated coordinates y = v sqrt(1-x^2),
-    # which moves every singularity to a box endpoint
-    f = lambda x, v: (1.0 - x * x) * np.sqrt(1.0 - v * v)
-    res = integrate_tensor(f, [(-1, 1), (-1, 1)])
-    assert res.converged
-    assert res.value == pytest.approx(2.0 * math.pi / 3.0, rel=1e-10)
-
-
-def test_tensor_first_degree_orthogonality():
-    # x * y * sqrt(1 - x^2 - y^2): first-degree basis pair against the
-    # mu = 1 ball weight, written in closed form to stay module-local
-    f = lambda x, y: (3.0 * x) * (2.0 * y) * np.maximum(
-        1.0 - x * x - y * y, 0.0) ** 0.5
-    res = integrate_tensor(f, [(-1, 1), (-1, 1)])
-    assert abs(res.value) < 1e-10
-
-
 @pytest.mark.parametrize("rule", ["double-exponential", "adaptive-GK"])
 def test_rules_integrate_batches_row_by_row(rule):
     # a (3, n) batch of integrands against three scalar calls
@@ -184,31 +159,6 @@ def test_rules_integrate_batches_row_by_row(rule):
         slow = max(range(3), key=lambda i: scalars[i].evaluations)
         assert batch.evaluations == scalars[slow].evaluations
         assert batch.value[slow] == scalars[slow].value
-
-
-def test_tensor_3d_slices_to_point_cap():
-    sizes = []
-
-    def f(x, y, z):
-        sizes.append(x.size)
-        assert x.shape == y.shape == z.shape
-        return np.exp(x + 2.0 * y) * np.cos(z)
-
-    res = integrate_tensor(f, [(0, 1), (0, 1), (-1, 1)])
-    assert max(sizes) <= quadrature._MAX_POINTS
-    # the first inner batch alone holds 49^3 points, so calls were sliced
-    assert sum(sizes[:4]) > quadrature._MAX_POINTS
-    assert res.evaluations == sum(sizes)
-    want = (math.e - 1.0) * (math.e ** 2 - 1.0) / 2.0 * 2.0 * math.sin(1.0)
-    assert res.value == pytest.approx(want, rel=1e-10)
-
-
-def test_tensor_failure_names_axis():
-    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_levels=3)
-    f = lambda x, y: np.exp(-x) / (1.0 + y * y)
-    with pytest.raises(NonConvergenceError) as err:
-        integrate_tensor(f, [(0, 1), (0, 1)], cfg)
-    assert "axis" in str(err.value)
 
 
 def test_linearity():

@@ -25,10 +25,10 @@ from conefourier import (DomainError, FreqVector, JacobiConeParams,
                          ball_norm, ball_op, check_identity, cone_norm, f_d,
                          f_d_via_g1, f_d_via_g2, fourier_num, ft_f_closed,
                          ft_g_jacobi_closed, ft_g_laguerre_closed, g_jacobi,
-                         g_laguerre, gamma_cx, integrate_tensor,
-                         lambda_factor, theta_hahn, pochhammer, theta_hyper,
-                         xi_factor)
+                         g_laguerre, gamma_cx, lambda_factor, theta_hahn,
+                         pochhammer, theta_hyper, xi_factor)
 from conefourier.kernel import _pfq_terminating
+from conftest import cubature_cx
 
 CFG_FT = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6)
 
@@ -475,27 +475,27 @@ def test_ft_f_conjugate_symmetry():
         assert abs(minus - plus.conjugate()) <= 1e-12 * abs(plus)
 
 
-def _atanh_cube(f, xi, scales):
-    """The unfactored transform int exp(-i <xi, x>) f(*x) dx over R^n,
-    every axis mapped through x = c atanh(u), c from scales, on (-1, 1)."""
-    def integrand(*us):
-        xs = [c * np.arctanh(u) for u, c in zip(us, scales)]
-        jac = math.prod(c / ((1.0 - u) * (1.0 + u)) for u, c in zip(us, scales))
-        phase = sum(v * x for v, x in zip(xi, xs))
-        return f(*xs) * np.exp(-1j * phase) * jac
+def _cubature_transform(f, xi, atol=0.0):
+    """The unfactored transform int exp(-i <xi, x>) f(*x) dx, every axis
+    cut to (-30, 30), by cubature."""
+    def integrand(*xs):
+        return f(*xs) * np.exp(-1j * sum(v * x for v, x in zip(xi, xs)))
 
-    return integrate_tensor(integrand, [(-1.0, 1.0)] * len(xi), CFG_FT).value
+    return cubature_cx(integrand, [(-30.0, 30.0)] * len(xi), rtol=1e-9,
+                       atol=atol)
 
 
 def test_ft_f_matches_numerical_d2():
     # the closed form, the factored oracle (one ladder of f_d's axis
-    # factors) and the unfactored 2-d integral over the atanh square agree
+    # factors) and the unfactored 2-d integral by cubature agree
     k, a, mu = (1, 1), 0.9, 0.8
     xi = (0.4, -1.1)
     closed = ft_f_closed(k, a, mu, FreqVector(xi))
     rep = check_identity("ft-f", {"k": k, "a": a, "mu": mu, "xi": xi})
     assert rep.passed
-    tensor = _atanh_cube(lambda *xs: f_d(xs, k, a, mu), xi, (1.0, 1.0))
+    # the transform is real, about 1: its imaginary part needs atol
+    tensor = _cubature_transform(lambda *xs: f_d(xs, k, a, mu), xi,
+                                 atol=1e-10)
     assert abs(closed - tensor) < 1e-6 * abs(tensor)
     assert abs(rep.rhs - tensor) < 1e-6 * abs(tensor)
 
@@ -529,7 +529,7 @@ def test_ft_g_laguerre_collapse():
 
 def test_ft_g_laguerre_matches_numerical():
     # the closed form, the factored oracle (an x ladder times a t ladder)
-    # and the unfactored (x, t) integral, t mapped through 2 atanh, agree
+    # and the unfactored (x, t) integral by cubature agree
     tp = TransformParamsLaguerre(0.7, 1.2, 0.5, 0.9)
     xi = (0.6, -0.8)
     closed = ft_g_laguerre_closed((1,), 2, tp, FreqVector(xi))
@@ -537,8 +537,8 @@ def test_ft_g_laguerre_matches_numerical():
                                            "b": 1.2, "beta": 0.5, "mu": 0.9,
                                            "xi": xi})
     assert rep.passed
-    tensor = _atanh_cube(lambda x, t: g_laguerre(t, (x,), (1,), 2, tp), xi,
-                         (1.0, 2.0))
+    tensor = _cubature_transform(
+        lambda x, t: g_laguerre(t, (x,), (1,), 2, tp), xi)
     assert abs(closed - tensor) < 1e-6 * abs(tensor)
     assert abs(rep.rhs - tensor) < 1e-6 * abs(tensor)
 
@@ -569,6 +569,8 @@ def test_ft_g_jacobi_separable_case():
 
 
 def test_ft_g_jacobi_matches_numerical():
+    # the closed form, the factored oracle and the unfactored (x, t)
+    # integral by cubature agree
     tp = TransformParamsJacobi(0.8, 1.1, 0.9, 0.4, 0.7, 0.6)
     xi = (0.3, 1.4)
     closed = ft_g_jacobi_closed((1,), 2, tp, FreqVector(xi))
@@ -577,6 +579,10 @@ def test_ft_g_jacobi_matches_numerical():
                                          "mu": 0.7, "gamma": 0.6, "xi": xi})
     assert rep.passed
     assert abs(closed - rep.rhs) < 1e-6 * abs(rep.rhs)
+    tensor = _cubature_transform(
+        lambda x, t: g_jacobi(t, (x,), (1,), 2, tp), xi)
+    assert abs(closed - tensor) < 1e-6 * abs(tensor)
+    assert abs(rep.rhs - tensor) < 1e-6 * abs(tensor)
 
 
 # ------------------------------------------------------------ A/B families

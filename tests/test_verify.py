@@ -18,9 +18,9 @@ from conefourier import (DomainError, JacobiConeParams, LaguerreConeParams,
                          QuadratureConfig, a_family, a_family_factors,
                          b_family, b_family_factors, ball_op, check_identity,
                          cone_norm, default_grids, f_d, fourier_num, gamma_cx,
-                         integrate_1d, integrate_tensor, jacobi_cone,
-                         run_suite)
+                         integrate_1d, jacobi_cone, laguerre_cone, run_suite)
 from conefourier.transforms import _orthogonality_integrand
+from conftest import cubature_cx
 
 _PP_ARGS = {"a1": 0.8, "a2": 0.6, "b1": 0.9, "b2": 0.7, "c1": 1.1, "c2": 0.5}
 
@@ -169,13 +169,10 @@ def test_failure_isolation(monkeypatch):
                         "jacobi-orth": True}
 
 
-def test_multivariate_checks_never_call_the_tensor_rule(monkeypatch):
+def test_multivariate_checks_never_call_the_tensor_rule():
     # every multivariate orthogonality and Fourier check is a product of
-    # 1-d ladders
-    def refuse(*args, **kwargs):
-        raise AssertionError("integrate_tensor called")
-
-    monkeypatch.setattr(quadrature, "integrate_tensor", refuse)
+    # 1-d ladders, and the oracle has no tensor driver left to call
+    assert not [name for name in vars(quadrature) if "tensor" in name]
     ids = ["ball-orth", "cone-orth-laguerre", "cone-orth-jacobi",
            "parseval-a", "parseval-b", "ft-f", "ft-g-laguerre",
            "ft-g-jacobi"]
@@ -225,16 +222,18 @@ def test_cone_orth_d3_laguerre_diagonal_is_cheap():
     assert rep.evals < 10_000
 
 
-def _cube_map(s):
-    """y_j = s_j sqrt(1 - ||y_<j||^2) with its Jacobian and 1 - ||y||^2,
-    y shrunk onto ||y||^2 <= 1 - 1e-12 to stay clear of ball_op's
-    partial-norm guard at nodes next to the sphere."""
+def _tanh_cube(us):
+    """y_j = s_j sqrt(1 - ||y_<j||^2) at s_j = tanh(u_j), with the Jacobian
+    in u and 1 - ||y||^2; the map moves the sphere, where the weight is
+    singular, out to infinity, and y is shrunk onto ||y||^2 <= 1 - 1e-12
+    to stay clear of ball_op's partial-norm guard at nodes next to it."""
     y, jac, rest = [], 1.0, 1.0
-    for sj in s:
+    for u in us:
+        s, sech2 = np.tanh(u), 1.0 / np.cosh(u) ** 2
         r = np.sqrt(rest)
-        y.append(sj * r)
-        jac = jac * r
-        rest = rest * ((1.0 - sj) * (1.0 + sj))
+        y.append(s * r)
+        jac = jac * r * sech2
+        rest = rest * sech2
     nsq = sum(v * v for v in y)
     shrink = np.sqrt((1.0 - 1e-12) / np.maximum(nsq, 1.0 - 1e-12))
     return [v * shrink for v in y], jac, rest
@@ -242,38 +241,63 @@ def _cube_map(s):
 
 def test_ball_orth_factorization_matches_tensor():
     # the factored oracle integrates one row per axis; the same d = 2
-    # diagonal integrated unfactored over the mapped square must agree
+    # diagonal integrated unfactored by cubature must agree
     k, mu = (1, 1), 0.7
 
-    def integrand(s1, s2):
-        y, jac, rest = _cube_map((s1, s2))
+    def integrand(u1, u2):
+        y, jac, rest = _tanh_cube((u1, u2))
         return ball_op(k, mu, y) ** 2 * rest ** (mu - 0.5) * jac
 
     factored = check_identity("ball-orth", {"k": k, "l": k, "mu": mu})
     assert factored.passed
-    tensor = integrate_tensor(integrand, [(-1.0, 1.0)] * 2, verify._CFG_BALL)
-    assert abs(tensor.value - factored.lhs) <= 1e-9 * abs(tensor.value)
+    tensor = cubature_cx(integrand, [(-20.0, 20.0)] * 2, rtol=1e-11)
+    assert abs(tensor - factored.lhs) <= 1e-9 * abs(tensor)
 
 
 def test_cone_orth_factorization_matches_tensor():
     # one t ladder times the ball rows; the same d = 2 diagonal integrated
-    # unfactored over (t, s1, s2) must agree
+    # unfactored over (t, s1, s2) must agree.  t = 1/(1 + e^(-2u)) keeps
+    # both t and 1 - t exact next to their endpoints
     params = {"n": 1, "k": (0, 1), "m": 1, "l": (0, 1), "beta": 0.4,
               "mu": 0.7, "gamma": 0.6}
     cone = JacobiConeParams(0.4, 0.7, 0.6)
 
-    def integrand(t, s1, s2):
-        y, jac, rest = _cube_map((s1, s2))
+    def integrand(u, u1, u2):
+        t = 1.0 / (1.0 + np.exp(-2.0 * u))
+        rest_t = 1.0 / (1.0 + np.exp(2.0 * u))
+        y, jac, rest = _tanh_cube((u1, u2))
         value = jacobi_cone((0, 1), 1, cone, (t, [t * v for v in y]))
+        # the weight t^(d + 2 mu - 1 + beta) (1 - t)^gamma, times
+        # dt/du = 2 t (1 - t)
         return (value ** 2 * rest ** (cone.mu - 0.5) * jac
                 * t ** (2 + 2 * cone.mu - 1 + cone.beta)
-                * (1.0 - t) ** cone.gamma)
+                * rest_t ** cone.gamma * 2.0 * t * rest_t)
 
     factored = check_identity("cone-orth-jacobi", params)
     assert factored.passed
-    tensor = integrate_tensor(integrand, [(0.0, 1.0)] + [(-1.0, 1.0)] * 2,
-                              verify._CFG_CONE)
-    assert abs(tensor.value - factored.lhs) <= 1e-7 * abs(tensor.value)
+    tensor = cubature_cx(integrand, [(-12.0, 12.0)] * 3, rtol=1e-8)
+    assert abs(tensor - factored.lhs) <= 1e-7 * abs(tensor)
+
+
+def test_cone_orth_laguerre_factorization_matches_tensor():
+    # the Laguerre cone at d = 1: t = e^u and s = tanh u, integrated
+    # unfactored, against the factored lhs and the closed-form norm
+    params = {"n": 2, "k": (1,), "m": 2, "l": (1,), "beta": 0.5, "mu": 0.9}
+    cone = LaguerreConeParams(0.5, 0.9)
+
+    def integrand(u, u1):
+        t = np.exp(u)
+        y, jac, rest = _tanh_cube((u1,))
+        value = laguerre_cone((1,), 2, cone, (t, [t * y[0]]))
+        # the weight t^(d + 2 mu - 1 + beta) e^(-t), times dt/du = t
+        return (value ** 2 * rest ** (cone.mu - 0.5) * jac
+                * t ** (1 + 2 * cone.mu - 1 + cone.beta) * np.exp(-t) * t)
+
+    factored = check_identity("cone-orth-laguerre", params)
+    assert factored.passed
+    tensor = cubature_cx(integrand, [(-40.0, 6.5), (-12.0, 12.0)], rtol=1e-10)
+    assert abs(tensor - factored.lhs) <= 1e-7 * abs(tensor)
+    assert abs(tensor - factored.rhs) <= 1e-7 * abs(tensor)
 
 
 def test_cone_orth_d3_returns_a_report():
@@ -334,6 +358,32 @@ def test_fd_recursion_judges_on_the_points_envelope(monkeypatch):
     assert rep.rel_err > 1e-8
 
 
+def test_basis_factor_judges_on_the_points_envelope(monkeypatch):
+    # ball_op is 1.5e-21 at s_1 = 0.9999999: on the scale max(1, |rhs|),
+    # a ball_op off by 1e-6 relative passed with rel_err 1.5e-27.  The
+    # envelope prod_j (1 - s_j^2)^(|k_>j|/2) C_{k_j}^(lambda_j)(1) bounds
+    # |ball_op| and sees it
+    params = {"basis": "ball", "k": (0, 6), "mu": 0.6, "s": (0.9999999, 0.3)}
+    rep = check_identity("basis-factor", params)
+    assert rep.passed
+    # its own rounding now shows (3.7e-12; 4.7e-32 on the old scale)
+    assert rep.rel_err > 1e-20
+    cone = {"basis": "jacobi-cone", "k": (0, 6), "n": 7, "mu": 0.6,
+            "beta": 0.4, "gamma": 0.6, "t": 0.35, "s": (0.99999, 0.3)}
+    assert check_identity("basis-factor", cone).passed
+    ball = verify.ball_op
+    monkeypatch.setattr(verify, "ball_op",
+                        lambda *args: ball(*args) * (1.0 + 1e-6))
+    rep = check_identity("basis-factor", params)
+    assert not rep.passed
+    assert rep.rel_err > 1e-8
+    # a cone row's envelope carries the t factor both sides share
+    monkeypatch.setitem(verify._CONE_BASES, "jacobi-cone",
+                        ("jacobi", lambda *args: jacobi_cone(*args)
+                         * (1.0 + 1e-6)))
+    assert not check_identity("basis-factor", cone).passed
+
+
 def test_report_refuses_a_non_finite_scale():
     rep = verify._report("ball-orth", {}, 1.0, 0.0, 0, 0.0, scale=math.inf)
     assert rep.rel_err == 0.0
@@ -356,7 +406,8 @@ def test_parseval_norm_past_double_range_raises(family, scale):
 @pytest.mark.parametrize("family", ["a", "b"])
 def test_parseval_factorization_matches_tensor(family):
     # the factored oracle integrates one 1-d factor per axis; the same
-    # d = 1 diagonal integrated unfactored over the (t, x) square must agree
+    # d = 1 diagonal integrated unfactored by cubature over the (t, x)
+    # square must agree
     params = {"n": 0, "k": (0,), "m": 0, "l": (0,), "a1": 0.8, "a2": 0.6,
               "b1": 0.9, "b2": 0.7, "c1": 1.1, "c2": 0.5}
     pp = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
@@ -377,9 +428,10 @@ def test_parseval_factorization_matches_tensor(family):
 
     factored = check_identity(f"parseval-{family}", params)
     assert factored.passed
-    tensor = integrate_tensor(integrand, [(-40.0, 40.0)] * 2,
-                              verify._CFG_PARSEVAL)
-    assert abs(tensor.value - factored.lhs) <= 1e-7 * abs(tensor.value)
+    # the imaginary part integrates to about 0; lhs is about 9 and 18
+    tensor = cubature_cx(integrand, [(-40.0, 40.0)] * 2, rtol=1e-9,
+                         atol=1e-9)
+    assert abs(tensor - factored.lhs) <= 1e-7 * abs(tensor)
 
 
 _D1_STATES = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
