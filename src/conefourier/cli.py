@@ -7,8 +7,7 @@ failure, 2 usage errors (unknown names, malformed arguments or config),
 
 Report files are written with a fixed key order and fixed number
 formatting (17 significant digits) so that identical runs produce
-byte-identical bytes; a serialized RunConfig re-read through --config
-reproduces the run exactly.
+byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .transforms import (ParsevalParams, TransformParamsJacobi,
 from .univariate import continuous_hahn, gegenbauer, jacobi, laguerre
 from .verify import IDENTITY_IDS, CheckReport, check_identity, run_suite
 
-__all__ = ["RunConfig", "load_config", "config_to_json", "main"]
+__all__ = ["RunConfig", "load_config", "main"]
 
 
 class UsageError(Exception):
@@ -463,25 +462,6 @@ def load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path!r} is not valid JSON: {exc}")
     return parse_config(doc)
-
-
-def config_to_json(cfg: RunConfig) -> str:
-    doc: dict = {}
-    if cfg.quadrature is not None:
-        q = cfg.quadrature
-        doc["quadrature"] = {
-            "rule": q.rule, "abs_tol": q.abs_tol, "rel_tol": q.rel_tol,
-            "max_levels": q.max_levels}
-    if cfg.grids is not None:
-        doc["grids"] = {
-            ident: [{k: list(v) if isinstance(v, tuple) else v
-                     for k, v in row.items()} for row in rows]
-            for ident, rows in cfg.grids.items()}
-    if cfg.out is not None:
-        doc["out"] = cfg.out
-    doc["format"] = cfg.format
-    doc["seed"] = cfg.seed
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@ shape.  Both 1-d rules are vector-valued: an integrand may return shape
 batch + (nodes,), and the rule integrates every row on one shared node
 set, converging only when every row does.  A separable integrand stacks
 its 1-d factors as rows of one call, and fourier_num transforms such
-rows, one frequency per row.
+rows, one frequency per row, on the whole-line sinh-sinh ladder of
+integrate_1d: no change of variable, so a factor's slow tail stays a
+tail and never becomes an endpoint singularity.
 """
 
 from __future__ import annotations
@@ -370,8 +372,7 @@ def integrate_1d(f, interval, cfg: QuadratureConfig | None = None) -> IntegralRe
 # Fourier transforms
 # ----------------------------------------------------------------------
 
-def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
-                t_axis: str | None = None) -> IntegralResult:
+def fourier_num(f, xi, cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Numerical Fourier transforms
 
         int exp(-i xi x) f(x) dx
@@ -379,18 +380,15 @@ def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
     over the whole line, one per row of f: f is a vectorized callable of
     one variable, returning shape (x.size,) or one row per factor, shape
     (rows, x.size).  xi is a scalar or one frequency per row; the result
-    holds one value per row.  |xi| above 8 is rejected.  The line is
-    mapped through x = c atanh(u) on u in (-1, 1), with Jacobian
-    c / ((1 - u)(1 + u)): c = 1, except c = 2 when t_axis="laguerre"
-    marks the call as a Laguerre cone t axis, whose left tail decays only
-    like e^{(b + |k|) t}.
+    holds one value per row.  |xi| above 8 is rejected.
 
-    The primary evaluation is always double-exponential on the mapped
-    interval; it raises NonConvergenceError when it misses the contract.
-    Selecting rule="adaptive-GK" in cfg additionally runs adaptive-GK in
-    original truncated coordinates on the same rows; the primary's
-    non-convergence or a disagreement beyond 10x the combined error
-    estimates then clears the converged flag instead.
+    The primary evaluation is always the double-exponential sinh-sinh
+    ladder of integrate_1d on the whole line; it raises
+    NonConvergenceError when it misses the contract.  Selecting
+    rule="adaptive-GK" in cfg additionally runs adaptive-GK on the
+    truncated line on the same rows; the primary's non-convergence or a
+    disagreement beyond 10x the combined error estimates then clears the
+    converged flag instead.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -399,22 +397,17 @@ def fourier_num(f, xi, cfg: QuadratureConfig | None = None,
         raise DomainError(
             f"fourier_num rejects |xi| > {MAX_FREQUENCY}: Gamma-type decay makes "
             "such values numerically uninformative")
-    if t_axis not in (None, "laguerre"):
-        raise DomainError(f"unknown t_axis {t_axis!r}")
-    c = 2.0 if t_axis else 1.0
     xi = xi[..., None]  # broadcasts against (rows, x.size)
 
     def wave(x):
         return f(x) * np.exp(-1j * (xi * x))
 
-    def integrand(u):
-        return wave(c * np.arctanh(u)) * (c / ((1.0 - u) * (1.0 + u)))
-
+    line = (-math.inf, math.inf)
     if cfg.rule != "adaptive-GK":
-        return integrate_1d(integrand, (-1.0, 1.0), cfg)
-    primary = _integrate_1d_result(
-        integrand, (-1.0, 1.0), replace(cfg, rule="double-exponential"))
-    check = _integrate_1d_result(wave, (-math.inf, math.inf), cfg)
+        return integrate_1d(wave, line, cfg)
+    primary = _integrate_1d_result(wave, line,
+                                   replace(cfg, rule="double-exponential"))
+    check = _integrate_1d_result(wave, line, cfg)
     gap = abs(primary.value - check.value)
     disagree = np.any(gap > 10.0 * (primary.error_estimate
                                     + check.error_estimate))

@@ -368,12 +368,17 @@ def g_jacobi(t, x, k, n, params: TransformParamsJacobi):
 
 
 def _jacobi_t_part(t, k: MultiIndex, n: int, params: TransformParamsJacobi):
-    """The t part of g_jacobi."""
+    """The t part of g_jacobi.  1 -+ tanh t are taken without cancellation,
+    as 2e/(1 + e) on the side that tends to 0 and 2/(1 + e) on the other,
+    e = e^{-2|t|}: 1 - tanh t itself would round to 0 past t of about 19."""
     _check_k_n(k, n)
-    th = np.tanh(np.asarray(t, dtype=np.float64))
+    t = np.asarray(t, dtype=np.float64)
+    e = np.exp(-2.0 * np.abs(t))
+    small, big = 2.0 * e / (1.0 + e), 2.0 / (1.0 + e)
+    plus, minus = np.where(t >= 0.0, big, small), np.where(t >= 0.0, small, big)
     alpha = 2 * k.total + 2 * params.mu + params.beta + k.d - 1
-    return 2.0 ** (-k.total) * (1.0 + th) ** (params.b + k.total) \
-        * (1.0 - th) ** params.c * jacobi(int(n) - k.total, alpha, params.gamma, -th)
+    return 2.0 ** (-k.total) * plus ** (params.b + k.total) * minus ** params.c \
+        * jacobi(int(n) - k.total, alpha, params.gamma, -np.tanh(t))
 
 
 # ----------------------------------------------------------------------
@@ -659,20 +664,28 @@ def theta_hahn(j: int, d: int, a, mu, k, xi_j) -> Cx:
                                 1j * np.asarray(xi_j)))
 
 
+def _laguerre_t_spec(k: MultiIndex, n: int, b, mu, beta) -> _Factor:
+    """The Laguerre cone's t row without its Gamma: lambda_factor's 2F1."""
+    _check_k_n(k, n)
+    return _t_spec(k, n, b, 2 * k.total + 2.0 * mu + beta + k.d)
+
+
+def _jacobi_t_spec(k: MultiIndex, n: int, b, c, mu, beta, gamma) -> _Factor:
+    """The Jacobi cone's t row without its Gammas: xi_factor's 3F2."""
+    _check_k_n(k, n)
+    return _t_spec(k, n, b, 2 * k.total + 2.0 * mu + beta + k.d, c,
+                   int(n) + k.total + 2.0 * mu + beta + gamma + k.d)
+
+
 def lambda_factor(n: int, k, b, mu, beta, xi) -> Cx:
     """Terminating 2F1 at argument 2 carried by the half-line cone axis."""
-    k = _as_multiindex(k)
-    _check_k_n(k, n)
-    spec = _t_spec(k, n, b, 2 * k.total + 2.0 * mu + beta + k.d)
+    spec = _laguerre_t_spec(_as_multiindex(k), n, b, mu, beta)
     return _cx_or_array(_product([spec], 1j * np.asarray(xi)))
 
 
 def xi_factor(n: int, k, b, c, mu, beta, gamma, xi) -> Cx:
     """Terminating 3F2 at 1 carried by the bounded cone axis."""
-    k = _as_multiindex(k)
-    _check_k_n(k, n)
-    spec = _t_spec(k, n, b, 2 * k.total + 2.0 * mu + beta + k.d, c,
-                   int(n) + k.total + 2.0 * mu + beta + gamma + k.d)
+    spec = _jacobi_t_spec(_as_multiindex(k), n, b, c, mu, beta, gamma)
     return _cx_or_array(_product([spec], 1j * np.asarray(xi)))
 
 
@@ -714,16 +727,16 @@ def ft_g_laguerre_closed(k, n: int, params: TransformParamsLaguerre, xi) -> Cx:
     2^(b+|k|-i xi_t) Gamma(b+|k|-i xi_t) and the argument-2 2F1.  xi has
     d + 1 components, scalars or float arrays as in ft_f_closed."""
     k = _as_multiindex(k)
-    _check_k_n(k, n)
-    fv = _as_freq(xi, k.d + 1)
     b, mu = params.b, params.mu
+    t = _laguerre_t_spec(k, n, b, mu, params.beta)
+    fv = _as_freq(xi, k.d + 1)
     if not (np.real(b) + k.total > 0.0):
         raise DomainError("need Re b + |k| > 0 for the Gamma factor")
-    den = 2 * k.total + 2.0 * mu + params.beta + k.d
-    m = int(n) - k.total
-    t = _t_spec(k, n, b, den)._replace(gammas=((b + k.total, -1.0),))
-    return _closed_value(k, params.a, mu, fv, t, b + k.total - 1j * fv[k.d],
-                         pochhammer(den, m) / math.factorial(m))
+    m = -t.num[0]
+    return _closed_value(k, params.a, mu, fv,
+                         t._replace(gammas=((b + k.total, -1.0),)),
+                         b + k.total - 1j * fv[k.d],
+                         pochhammer(t.den[0], m) / math.factorial(m))
 
 
 def ft_g_jacobi_closed(k, n: int, params: TransformParamsJacobi, xi) -> Cx:
@@ -731,19 +744,16 @@ def ft_g_jacobi_closed(k, n: int, params: TransformParamsJacobi, xi) -> Cx:
     Gamma(b+|k|-i xi_t/2) Gamma(c+i xi_t/2) pair and the terminating 3F2.
     xi has d + 1 components, scalars or float arrays as in ft_f_closed."""
     k = _as_multiindex(k)
-    _check_k_n(k, n)
+    b, c, mu = params.b, params.c, params.mu
+    t = _jacobi_t_spec(k, n, b, c, mu, params.beta, params.gamma)
     fv = _as_freq(xi, k.d + 1)
-    b, c, mu, beta = params.b, params.c, params.mu, params.beta
     if not (b + k.total > 0.0 and c > 0.0):
         raise DomainError("need b + |k| > 0 and c > 0 for the Gamma factors")
-    den = 2 * k.total + 2.0 * mu + beta + k.d
-    m = int(n) - k.total
-    t = _t_spec(k, n, b, den, c,
-                int(n) + k.total + 2.0 * mu + beta + params.gamma + k.d)
+    m = -t.num[0]
     t = t._replace(gammas=((k.total + b, -0.5), (c, 0.5)),
                    den_gamma=k.total + b + c)
     return _closed_value(k, params.a, mu, fv, t, b + c - 1.0,
-                         pochhammer(den, m) / math.factorial(m))
+                         pochhammer(t.den[0], m) / math.factorial(m))
 
 
 # ----------------------------------------------------------------------

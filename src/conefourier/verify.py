@@ -8,7 +8,8 @@ non-convergence comes back as a failed report carrying the reason.
 Every orthogonality check judges its inner product against closed-form
 norms.  The ball, cone and Parseval inner products and the cone
 transforms are separable, so each is the product of 1-d row integrals
-(_row_product), one batched ladder per interval or per Fourier map;
+(_row_product), one batched ladder per interval or per set of rows
+transformed on the whole line;
 basis-factor certifies pointwise that the bases are the products of the
 factors those rows integrate.
 
@@ -192,9 +193,10 @@ def _row_product(ladders, cfg) -> IntegralResult:
 _CFG_1D = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-11)
 _CFG_BALL = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
 _CFG_CONE = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)
-# the tanh substitution leaves an endpoint exponent of a - 1 on each
-# x-axis, which caps double-exponential accuracy near 2.5e-8 at a = 1/2;
-# demanding more would spin the ladder without converging
+# the whole-line ladders converge far past 1e-7, but a row that vanishes
+# by symmetry is judged on 10 abs_tol (_fourier_row): at 1e-11 a
+# vanishing ft-g-laguerre row, exact to 7e-16, reads rel_err 7e-6 and
+# fails its 1e-6 tolerance
 _CFG_FOURIER = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
 _CFG_PARSEVAL = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7)
 
@@ -379,24 +381,22 @@ def _check_ft_f(params, cfg):
                         cfg)
 
 
-# family -> (parameter class, its argument names, closed form, t part,
-# t_axis of its t ladder)
+# family -> (parameter class, its argument names, closed form, t part)
 _CONE_TRANSFORMS = {
     "laguerre": (TransformParamsLaguerre, ("a", "b", "beta", "mu"),
-                 ft_g_laguerre_closed, _laguerre_t_part, "laguerre"),
+                 ft_g_laguerre_closed, _laguerre_t_part),
     "jacobi": (TransformParamsJacobi, ("a", "b", "c", "beta", "mu", "gamma"),
-               ft_g_jacobi_closed, _jacobi_t_part, None),
+               ft_g_jacobi_closed, _jacobi_t_part),
 }
 
 
 def _check_ft_g(family, params, cfg):
     k = _as_multiindex(params["k"])
     n = int(params["n"])
-    kind, names, closed, t_part, t_axis = _CONE_TRANSFORMS[family]
+    kind, names, closed, t_part = _CONE_TRANSFORMS[family]
     tp = kind(*(float(params[name]) for name in names))
     xi = FreqVector(params["xi"])
-    t_ladder = partial(fourier_num, lambda t: t_part(t, k, n, tp), xi[k.d],
-                       t_axis=t_axis)
+    t_ladder = partial(fourier_num, lambda t: t_part(t, k, n, tp), xi[k.d])
     return _fourier_row(closed(k, n, tp, xi), k, tp.a, tp.mu, xi.components,
                         cfg, t_ladder)
 
@@ -659,8 +659,7 @@ def default_grids(seed: int = 0) -> dict:
         {"n": n, "k": k, "m": m, "l": l, "beta": 0.4, "mu": 0.7, "gamma": 0.6}
         for (n, k), (m, l) in cone_pairs]
 
-    # a = 0.75 keeps the endpoint exponent a - 1 comfortably above the
-    # oscillatory accuracy wall at the default Fourier tolerance
+    # a = 0.75 gives the axis factors a slower tail, sech^1.5 x, than a = 1
     grids["ft-f"] = [
         {"k": (kk,), "a": a, "mu": 0.8, "xi": (x,)}
         for kk in range(3) for a in (0.75, 1.0)

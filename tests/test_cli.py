@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conefourier import ball_op, cli, gegenbauer
+from conefourier import QuadratureConfig, ball_op, cli, gegenbauer, run_suite
 from conefourier.cli import main
 
 
@@ -422,8 +422,8 @@ def test_table_two_point_axes_one_call(capsys, monkeypatch):
 
 # --------------------------------------------------------------- config
 
-def test_config_round_trip(tmp_path, capsys):
-    from conefourier.cli import config_to_json, load_config
+def test_config_loads_and_drives_the_suite(tmp_path, capsys):
+    from conefourier.cli import RunConfig, load_config
 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -432,17 +432,20 @@ def test_config_round_trip(tmp_path, capsys):
         "format": "json",
     }))
     cfg = load_config(str(cfg_path))
-    rt_path = tmp_path / "cfg2.json"
-    rt_path.write_text(config_to_json(cfg))
-    cfg2 = load_config(str(rt_path))
-    assert cfg == cfg2
+    quad = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8)
+    assert cfg == RunConfig(quadrature=quad, seed=7)
 
+    # the run under --config is the library run at the loaded settings,
+    # and its quadrature override shows in the evaluation counts
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-    for cpath, fpath in ((cfg_path, f1), (rt_path, f2)):
-        code, _, _ = run_cli(capsys, "suite", "--ids", "norm-constants",
-                             "--config", str(cpath), "--out", str(fpath))
+    for argv in (("--config", str(cfg_path), "--out", str(f1)),
+                 ("--out", str(f2))):
+        code, _, _ = run_cli(capsys, "suite", "--ids", "gegenbauer-orth",
+                             *argv)
         assert code == 0
-    assert f1.read_bytes() == f2.read_bytes()
+    want = cli._suite_json(run_suite(["gegenbauer-orth"], cfg=quad, seed=7))
+    assert f1.read_text() == want
+    assert f1.read_bytes() != f2.read_bytes()
 
 
 def test_config_unknown_keys_rejected(tmp_path, capsys):

@@ -28,6 +28,7 @@ from conefourier import (DomainError, FreqVector, JacobiConeParams,
                          g_laguerre, gamma_cx, lambda_factor, theta_hahn,
                          pochhammer, theta_hyper, xi_factor)
 from conefourier.kernel import _pfq_terminating
+from conefourier.verify import _CFG_FOURIER
 from conftest import cubature_cx
 
 CFG_FT = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6)
@@ -169,6 +170,56 @@ def test_g_jacobi_composition():
             * sp.eval_jacobi(1, alpha, tp.gamma, -th)
             * sech ** (2 * tp.a) * 2 * tp.mu * math.tanh(x1))
     assert g_jacobi(t, (x1,), (1,), 2, tp) == pytest.approx(want, rel=1e-12)
+
+
+_SLOW_TAIL = TransformParamsJacobi(0.9, 0.8, 0.562, 0.5, 0.7, 0.3)
+
+
+def _jacobi_t_part_mpmath(t, k, n, tp):
+    """The t part of g_jacobi at 50 digits, 1 -+ tanh t taken as exact
+    complements, from the double parameters the library uses."""
+    kt = sum(k)
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        e = mpmath.exp(-2 * abs(t))
+        small, big = 2 * e / (1 + e), 2 / (1 + e)
+        plus, minus = (big, small) if t >= 0 else (small, big)
+        alpha = 2 * kt + 2 * tp.mu + tp.beta + len(k) - 1
+        return (plus ** mpmath.mpf(tp.b + kt) * minus ** mpmath.mpf(tp.c)
+                * mpmath.jacobi(n - kt, alpha, tp.gamma, -mpmath.tanh(t))
+                / 2 ** kt)
+
+
+def test_jacobi_t_part_keeps_both_tails():
+    # 1 - tanh t rounds to 0 past t of about 19 and loses digits well
+    # before; the t part must follow its slow e^{-2ct} tail past there
+    k, n = (1, 2), 4
+    ts = np.array([-30.0, -19.0, -17.0, 0.4, 17.0, 19.0, 30.0])
+    got = transforms._jacobi_t_part(ts, MultiIndex(k), n, _SLOW_TAIL)
+    for t, value in zip(ts, got):
+        want = _jacobi_t_part_mpmath(t, k, n, _SLOW_TAIL)
+        assert value != 0.0
+        assert abs(value - float(want)) <= 1e-14 * abs(float(want))
+
+
+def test_ft_g_jacobi_slow_tail_row_vs_mpmath():
+    # c = 0.562: the t row decays only like e^{-1.124 t}, here under
+    # frequency -5.531; its ladder must converge within its own estimate
+    # of the true value, and the whole row must pass, at the default
+    # Fourier config and at 1e-11
+    k, n, xi = (1, 2), 4, -5.531
+    with mpmath.workdps(50):
+        want = complex(mpmath.quad(
+            lambda t: _jacobi_t_part_mpmath(t, k, n, _SLOW_TAIL)
+            * mpmath.expj(-xi * t), [-mpmath.inf, 0, mpmath.inf]))
+    params = {"k": k, "n": n, "a": 0.9, "b": 0.8, "c": 0.562, "beta": 0.5,
+              "mu": 0.7, "gamma": 0.3, "xi": (-3.001, 0.968, xi)}
+    for cfg in (_CFG_FOURIER, QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)):
+        res = fourier_num(lambda t: transforms._jacobi_t_part(
+            t, MultiIndex(k), n, _SLOW_TAIL), xi, cfg)
+        assert abs(res.value - want) <= res.error_estimate
+        report = check_identity("ft-g-jacobi", params, cfg)
+        assert report.passed, report.reason
 
 
 # ------------------------------------------------------------ Theta factor
