@@ -17,7 +17,7 @@ from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
                          b_family_factors, b_norm_rhs, f_d, f_d_via_g1,
                          f_d_via_g2, ft_f_closed, ft_g_jacobi_closed,
                          ft_g_laguerre_closed, g_jacobi, g_laguerre,
-                         lambda_factor, theta_hahn, theta_hyper, xi_factor)
+                         theta_hahn, theta_hyper)
 from .univariate import (continuous_hahn, gegenbauer, gegenbauer_norm, jacobi,
                          jacobi_norm, laguerre, laguerre_norm)
 from .verify import (IDENTITY_IDS, CheckReport, SuiteResult, check_identity,
@@ -36,7 +36,7 @@ __all__ = [
     "TransformParamsLaguerre", "a_family", "a_family_factors", "a_norm_rhs",
     "b_family", "b_family_factors", "b_norm_rhs", "f_d", "f_d_via_g1", "f_d_via_g2", "ft_f_closed",
     "ft_g_jacobi_closed", "ft_g_laguerre_closed", "g_jacobi", "g_laguerre",
-    "lambda_factor", "theta_hahn", "theta_hyper", "xi_factor",
+    "theta_hahn", "theta_hyper",
     "continuous_hahn", "gegenbauer",
     "gegenbauer_norm", "jacobi", "jacobi_norm", "laguerre", "laguerre_norm",
     "IDENTITY_IDS", "CheckReport", "SuiteResult", "check_identity",

@@ -49,8 +49,6 @@ __all__ = [
     "g_jacobi",
     "theta_hyper",
     "theta_hahn",
-    "lambda_factor",
-    "xi_factor",
     "ft_f_closed",
     "ft_g_laguerre_closed",
     "ft_g_jacobi_closed",
@@ -665,28 +663,18 @@ def theta_hahn(j: int, d: int, a, mu, k, xi_j) -> Cx:
 
 
 def _laguerre_t_spec(k: MultiIndex, n: int, b, mu, beta) -> _Factor:
-    """The Laguerre cone's t row without its Gamma: lambda_factor's 2F1."""
+    """The Laguerre cone's t row without its Gamma: the terminating 2F1 at
+    argument 2 carried by the half-line cone axis."""
     _check_k_n(k, n)
     return _t_spec(k, n, b, 2 * k.total + 2.0 * mu + beta + k.d)
 
 
 def _jacobi_t_spec(k: MultiIndex, n: int, b, c, mu, beta, gamma) -> _Factor:
-    """The Jacobi cone's t row without its Gammas: xi_factor's 3F2."""
+    """The Jacobi cone's t row without its Gammas: the terminating 3F2 at 1
+    carried by the bounded cone axis."""
     _check_k_n(k, n)
     return _t_spec(k, n, b, 2 * k.total + 2.0 * mu + beta + k.d, c,
                    int(n) + k.total + 2.0 * mu + beta + gamma + k.d)
-
-
-def lambda_factor(n: int, k, b, mu, beta, xi) -> Cx:
-    """Terminating 2F1 at argument 2 carried by the half-line cone axis."""
-    spec = _laguerre_t_spec(_as_multiindex(k), n, b, mu, beta)
-    return _cx_or_array(_product([spec], 1j * np.asarray(xi)))
-
-
-def xi_factor(n: int, k, b, c, mu, beta, gamma, xi) -> Cx:
-    """Terminating 3F2 at 1 carried by the bounded cone axis."""
-    spec = _jacobi_t_spec(_as_multiindex(k), n, b, c, mu, beta, gamma)
-    return _cx_or_array(_product([spec], 1j * np.asarray(xi)))
 
 
 def _closed_value(k: MultiIndex, a, mu, xi, t=None, power=0.0,

@@ -96,7 +96,7 @@ def test_02_ball_orthogonality_and_eigen():
                      "x": (r * math.cos(phi), r * math.sin(phi))})
     result = run_suite(["ball-eigen"], grids={"ball-eigen": rows})
     assert len(result) == 20
-    assert all(r.passed and r.rel_err < 1e-4 for r in result)
+    assert all(r.passed and r.rel_err < 1e-10 for r in result)
     took = time.time() - start
     assert took < 60.0
     print(f"PASS ball basis: 225 pairs x mu in (0.7, 1.5), worst diag "

@@ -153,6 +153,16 @@ def test_check_one_coordinate_point(capsys, argv):
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("argv,code", [
+    (("k=0,0", "mu=0.5", "x=0.1,0.2"), 0),
+    (("k=2,0", "mu=0.7", "x=1.2,0"), 3)],
+    ids=["zero-eigenvalue", "outside-the-ball"])
+def test_check_ball_eigen_exit_code(capsys, argv, code):
+    # a zero eigenvalue is judged, not divided by; a point off the open
+    # ball is a domain error
+    assert run_cli(capsys, "check", "ball-eigen", *argv)[0] == code
+
+
 # ---------------------------------------------------------------- suite
 
 def test_suite_empty_ids_exit_0(tmp_path, capsys):

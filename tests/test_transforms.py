@@ -1,5 +1,5 @@
-"""Closed-form Fourier transforms, the Theta/Lambda/Xi factors, and the
-Parseval-derived A/B families."""
+"""Closed-form Fourier transforms, their Theta factors and cone t rows,
+and the Parseval-derived A/B families."""
 
 import cmath
 import math
@@ -25,8 +25,8 @@ from conefourier import (DomainError, FreqVector, JacobiConeParams,
                          ball_norm, ball_op, check_identity, cone_norm, f_d,
                          f_d_via_g1, f_d_via_g2, fourier_num, ft_f_closed,
                          ft_g_jacobi_closed, ft_g_laguerre_closed, g_jacobi,
-                         g_laguerre, gamma_cx, lambda_factor, theta_hahn,
-                         pochhammer, theta_hyper, xi_factor)
+                         g_laguerre, gamma_cx, theta_hahn, pochhammer,
+                         theta_hyper)
 from conefourier.kernel import _pfq_terminating
 from conefourier.verify import _CFG_FOURIER
 from conftest import cubature_cx
@@ -249,13 +249,25 @@ def test_theta_dual_forms_agree():
         assert abs(vh - vc) <= 1e-12 * max(abs(vh), 1e-300)
 
 
-# ------------------------------------------------------ Lambda, Xi factors
+# ------------------------------------------------- the cone t rows' series
 
-def test_lambda_factor_values():
-    assert lambda_factor(2, (2,), 1.3, 0.9, 0.5, 0.4) == pytest.approx(1.0)
+def laguerre_t_row(n, k, b, mu, beta, xi):
+    """The terminating 2F1 at argument 2 of the Laguerre cone's t row."""
+    spec = transforms._laguerre_t_spec(MultiIndex(k), n, b, mu, beta)
+    return complex(transforms._product([spec], 1j * xi))
+
+
+def jacobi_t_row(n, k, b, c, mu, beta, gamma, xi):
+    """The terminating 3F2 at 1 of the Jacobi cone's t row."""
+    spec = transforms._jacobi_t_spec(MultiIndex(k), n, b, c, mu, beta, gamma)
+    return complex(transforms._product([spec], 1j * xi))
+
+
+def test_laguerre_t_row_values():
+    assert laguerre_t_row(2, (2,), 1.3, 0.9, 0.5, 0.4) == pytest.approx(1.0)
     b, mu, beta, xi = 1.3, 0.9, 0.5, 0.4
     want = 1.0 - 2.0 * (b + 1 - 1j * xi) / (2 + 2 * mu + beta + 1)
-    got = lambda_factor(2, (1,), b, mu, beta, xi)
+    got = laguerre_t_row(2, (1,), b, mu, beta, xi)
     assert abs(got - want) < 1e-13 * abs(want)
     # n - |k| = 3: explicit four-term sum
     n, k1 = 4, 1
@@ -263,18 +275,20 @@ def test_lambda_factor_values():
     den = 2 * k1 + 2 * mu + beta + 1
     want = sum(rising(num1, m) * rising(num2, m) / rising(den, m)
                * 2.0 ** m / math.factorial(m) for m in range(4))
-    got = lambda_factor(n, (k1,), b, mu, beta, xi)
+    got = laguerre_t_row(n, (k1,), b, mu, beta, xi)
     assert abs(got - want) < 1e-12 * abs(want)
 
 
-def test_lambda_factor_denominator_pole():
-    # 2|k| + 2 mu + beta + d = 0 makes the denominator hit zero at term 1
+def test_laguerre_t_row_denominator_pole():
+    # 2|k| + 2 mu + beta + d = 0 makes the 2F1's denominator hit zero at
+    # term 1
     with pytest.raises(PoleError):
-        lambda_factor(1, (0,), 1.0, 0.25, -1.5, 0.3)
+        ft_g_laguerre_closed((0,), 1, TransformParamsLaguerre(0.8, 1.0, -1.5,
+                                                              0.25), (0.2, 0.3))
 
 
-def test_xi_factor_values():
-    assert xi_factor(3, (3,), 1.1, 0.8, 0.9, 0.4, 0.6, 1.2) == pytest.approx(1.0)
+def test_jacobi_t_row_values():
+    assert jacobi_t_row(3, (3,), 1.1, 0.8, 0.9, 0.4, 0.6, 1.2) == pytest.approx(1.0)
     b, c, mu, beta, gamma, xi = 1.1, 0.8, 0.9, 0.4, 0.6, 1.2
     # n - |k| = 2 at k = (1,): explicit three-term sum
     n, k1, d = 3, 1, 1
@@ -286,11 +300,11 @@ def test_xi_factor_values():
     want = sum(rising(a1, m) * rising(a2, m) * rising(a3, m)
                / (rising(d1, m) * rising(d2, m) * math.factorial(m))
                for m in range(3))
-    got = xi_factor(n, (k1,), b, c, mu, beta, gamma, xi)
+    got = jacobi_t_row(n, (k1,), b, c, mu, beta, gamma, xi)
     assert abs(got - want) < 1e-12 * abs(want)
     # two-term case
     want1 = 1.0 + (-1.0) * (2 + k1 + 2 * mu + beta + gamma + d) * a3 / (d1 * d2)
-    got1 = xi_factor(2, (k1,), b, c, mu, beta, gamma, xi)
+    got1 = jacobi_t_row(2, (k1,), b, c, mu, beta, gamma, xi)
     assert abs(got1 - want1) < 1e-13 * abs(want1)
 
 

@@ -2,11 +2,14 @@
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conefourier.kernel as kernel
 import conefourier.quadrature as quadrature
@@ -382,6 +385,66 @@ def test_basis_factor_judges_on_the_points_envelope(monkeypatch):
                         ("jacobi", lambda *args: jacobi_cone(*args)
                          * (1.0 + 1e-6)))
     assert not check_identity("basis-factor", cone).passed
+
+
+def test_ball_eigen_default_rows_cover_d1_to_d4_at_roundoff():
+    rows = default_grids()["ball-eigen"]
+    assert {len(row["k"]) for row in rows} == {1, 2, 3, 4}
+    for row in rows:
+        rep = check_identity("ball-eigen", row)
+        assert rep.passed and rep.rel_err <= 1e-13
+
+
+def test_ball_eigen_fails_on_a_bent_ball_op(monkeypatch):
+    # central differences at tol 1e-4 passed every d = 2 default row of a
+    # ball_op off by 1 + 1e-7 x_1^2, at rel_err 1.3e-9 to 3.5e-7
+    ball = verify.ball_op
+    monkeypatch.setattr(verify, "ball_op", lambda k, mu, p: ball(k, mu, p)
+                        * (1.0 + 1e-7 * np.asarray(p[0]) ** 2))
+    reports = run_suite(["ball-eigen"])
+    assert not any(r.passed for r in reports)
+    assert len(reports) == 10
+
+
+@st.composite
+def _ball_eigen_rows(draw):
+    d = draw(st.integers(1, 4))
+    k = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+    v = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+    radius, norm = draw(st.floats(0.0, 0.95)), math.hypot(*v)
+    # a subnormal norm divides to components off the unit sphere
+    x = ([radius * (c / norm) for c in v] if norm >= sys.float_info.min
+         else [0.0] * d)
+    return {"k": tuple(k), "mu": draw(st.floats(0.2, 2.5)), "x": tuple(x)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ball_eigen_rows())
+def test_ball_eigen_holds_on_its_domain(row):
+    # the domain next to ball-eigen's tolerance in the catalog
+    assert check_identity("ball-eigen", row).passed
+
+
+def test_ball_eigen_judges_a_nodal_plane_on_the_envelope():
+    # ball_op vanishes at x (C_3 is odd) but rounds on the scale of its
+    # factors: on the scale max(|rhs|, 0.05 (n + d)|n + 2 mu - 1|) this
+    # row read 8.1e-8
+    row = {"k": (2, 3, 2, 3), "mu": 2.5, "x": (0.0, 0.0, 0.0, 0.95)}
+    assert check_identity("ball-eigen", row).passed
+
+
+def test_ball_eigen_at_a_zero_eigenvalue():
+    # (n + d)(n + 2 mu - 1) is 0 at k = 0, mu = 1/2, and so is either side
+    rep = check_identity("ball-eigen", {"k": (0, 0), "mu": 0.5,
+                                        "x": (0.1, 0.2)})
+    assert rep.passed
+    assert rep.abs_err == 0.0
+
+
+@pytest.mark.parametrize("x", [(1.2, 0.0), (0.6, 0.8), (0.0, -1.0)])
+def test_ball_eigen_rejects_a_point_off_the_open_ball(x):
+    with pytest.raises(DomainError):
+        check_identity("ball-eigen", {"k": (2, 0), "mu": 0.7, "x": x})
 
 
 def test_report_refuses_a_non_finite_scale():
