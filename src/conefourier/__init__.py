@@ -7,15 +7,14 @@ library claims.
 from .kernel import (Cx, DomainError, PoleError, gamma_cx, log_gamma_cx,
                      pochhammer)
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
-                           ball_norm, ball_op, cone_basis, cone_norm,
-                           jacobi_cone, laguerre_cone)
+                           ball_norm, ball_op, cone_norm, jacobi_cone,
+                           laguerre_cone)
 from .quadrature import (IntegralResult, NonConvergenceError,
                          QuadratureConfig, fourier_num, integrate_1d)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
-                         TransformParamsLaguerre, a_family,
-                         a_family_factors, a_norm_rhs, b_family,
-                         b_family_factors, b_norm_rhs, f_d, f_d_via_g1,
-                         f_d_via_g2, ft_f_closed, ft_g_jacobi_closed,
+                         TransformParamsLaguerre, a_family, a_norm_rhs,
+                         b_family, b_norm_rhs, f_d, f_d_via_g1, f_d_via_g2,
+                         ft_f_closed, ft_g_jacobi_closed,
                          ft_g_laguerre_closed, g_jacobi, g_laguerre,
                          theta_hahn, theta_hyper)
 from .univariate import (continuous_hahn, gegenbauer, gegenbauer_norm, jacobi,
@@ -28,13 +27,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Cx", "DomainError", "PoleError",
     "gamma_cx", "log_gamma_cx", "pochhammer",
-    "JacobiConeParams", "LaguerreConeParams", "MultiIndex", "ball_norm", "ball_op", "cone_basis",
+    "JacobiConeParams", "LaguerreConeParams", "MultiIndex", "ball_norm", "ball_op",
     "cone_norm", "jacobi_cone", "laguerre_cone",
     "IntegralResult", "NonConvergenceError", "QuadratureConfig",
     "fourier_num", "integrate_1d",
     "FreqVector", "ParsevalParams", "TransformParamsJacobi",
-    "TransformParamsLaguerre", "a_family", "a_family_factors", "a_norm_rhs",
-    "b_family", "b_family_factors", "b_norm_rhs", "f_d", "f_d_via_g1", "f_d_via_g2", "ft_f_closed",
+    "TransformParamsLaguerre", "a_family", "a_norm_rhs",
+    "b_family", "b_norm_rhs", "f_d", "f_d_via_g1", "f_d_via_g2", "ft_f_closed",
     "ft_g_jacobi_closed", "ft_g_laguerre_closed", "g_jacobi", "g_laguerre",
     "theta_hahn", "theta_hyper",
     "continuous_hahn", "gegenbauer",

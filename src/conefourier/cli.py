@@ -60,13 +60,15 @@ def _fmt_value(v) -> str:
     return f"{_fmt_sig(v.real)} {sign} {_fmt_sig(abs(v.imag))} i"
 
 
+def _csv_cell(v: float) -> str:
+    """v to 17 significant digits; nan, inf and -inf as those words."""
+    return f"{float(v):.16e}"
+
+
 def _json_float(v: float) -> str:
-    v = float(v)
-    if math.isnan(v):
-        return '"nan"'
-    if math.isinf(v):
-        return '"inf"' if v > 0 else '"-inf"'
-    return f"{v:.16e}"
+    """_csv_cell, with nan, inf and -inf quoted as JSON strings."""
+    cell = _csv_cell(v)
+    return cell if math.isfinite(float(v)) else f'"{cell}"'
 
 
 def _json_scalar(v) -> str:
@@ -115,15 +117,6 @@ def _suite_json(result) -> str:
 
 _CSV_HEADER = ("id,params,lhs_re,lhs_im,rhs_re,rhs_im,"
                "abs_err,rel_err,tol,pass,seconds,evals")
-
-
-def _csv_cell(v: float) -> str:
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.16e}"
 
 
 def _param_text(v) -> str:

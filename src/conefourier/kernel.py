@@ -21,7 +21,6 @@ __all__ = [
     "Cx",
     "DomainError",
     "PoleError",
-    "INTEGRALITY_TOL",
     "gamma_cx",
     "log_gamma_cx",
     "pochhammer",

@@ -5,7 +5,7 @@ bases are products of.
 
 Point arguments are d coordinates; each coordinate may be a scalar or an
 array (all broadcasting together), so basis evaluation vectorizes over
-batches of points.
+batches of points.  At d = 1 the point may be a scalar.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "JacobiConeParams",
     "ball_op",
     "ball_norm",
-    "cone_basis",
     "laguerre_cone",
     "jacobi_cone",
     "cone_norm",
@@ -140,12 +139,16 @@ class JacobiConeParams:
             raise DomainError(f"requires beta > -d = {-d}, got beta = {self.beta}")
 
 
-def _coords(p, d: int):
-    """Extract d coordinate arrays from a sequence or array."""
-    coords = [np.asarray(c, dtype=np.float64) for c in p]
-    if len(coords) != d:
-        raise DomainError(f"expected {d} coordinates, got {len(coords)}")
-    return coords
+def _coords(x, d: int):
+    """The d coordinates of the point x, as given: a sequence, the rows of
+    an array, or at d = 1 a scalar."""
+    if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
+        seq = (x,)
+    else:
+        seq = tuple(x)
+    if len(seq) != d:
+        raise DomainError(f"coordinate vector has {len(seq)} entries, expected {d}")
+    return seq
 
 
 def ball_op(k, mu: float, p):
@@ -157,7 +160,7 @@ def ball_op(k, mu: float, p):
     with lambda_j = mu + |k^{j+1}| + (d-j)/2.
     """
     k = _as_multiindex(k)
-    coords = _coords(p, k.d)
+    coords = [np.asarray(c, dtype=np.float64) for c in _coords(p, k.d)]
     value = None
     part = 0.0
     for j in range(1, k.d + 1):
@@ -225,50 +228,40 @@ def _cone_point(p, d: int):
     return t, coords
 
 
-def _t_factor(q, k: MultiIndex, n: int, mu: float, t):
+def _t_factor(params, k: MultiIndex, n: int, t):
     """q_{n-m}^(alpha_m)(t) t^m with m = |k| and alpha_m = d + 2m + 2mu - 1,
     the t factor of the cone basis element: the element at (t, t y) is
-    this times ball_op(k, mu, y)."""
+    this times ball_op(k, mu, y).  q is L^(alpha+beta) for the Laguerre
+    cone and P^((alpha+beta, gamma)) at 1 - 2t for the Jacobi one."""
     m = k.total
     if n < m:
         raise DomainError(f"cone basis requires |k| <= n, got |k| = {m} > n = {n}")
-    return q(n - m, k.d + 2.0 * m + 2.0 * mu - 1.0, t) * t ** m
-
-
-def cone_basis(q, k, n: int, p, mu: float):
-    """Generic cone basis element q_{n-m}^(alpha_m)(t) t^m P_k^mu(x/t)
-    with m = |k| and alpha_m = d + 2m + 2mu - 1.
-
-    q(degree, alpha, t) evaluates the caller's one-dimensional family; it
-    receives the geometric exponent alpha_m and folds in any parameters of
-    its own weight (the Laguerre instantiation uses L^(alpha+beta), the
-    Jacobi one P^((alpha+beta, gamma)) at 1-2t).
-    """
-    k = _as_multiindex(k)
-    t, coords = _cone_point(p, k.d)
-    return _t_factor(q, k, n, mu, t) * ball_op(k, mu, [c / t for c in coords])
-
-
-def _radial(params):
-    """The q of cone_basis for the Laguerre or Jacobi cone family."""
+    alpha = k.d + 2.0 * m + 2.0 * params.mu - 1.0
     if isinstance(params, JacobiConeParams):
-        return lambda deg, alpha, t: jacobi(deg, alpha + params.beta,
-                                            params.gamma, 1.0 - 2.0 * t)
-    return lambda deg, alpha, t: laguerre(deg, alpha + params.beta, t)
+        q = jacobi(n - m, alpha + params.beta, params.gamma, 1.0 - 2.0 * t)
+    else:
+        q = laguerre(n - m, alpha + params.beta, t)
+    return q * t ** m
+
+
+def _cone_value(k, n: int, params, p):
+    """The cone basis element of params' family at p = (t, x): its t
+    factor times ball_op(k, mu, x/t)."""
+    k = _as_multiindex(k)
+    params.validate_dimension(k.d)
+    t, coords = _cone_point(p, k.d)
+    return (_t_factor(params, k, n, t)
+            * ball_op(k, params.mu, [c / t for c in coords]))
 
 
 def laguerre_cone(k, n: int, params: LaguerreConeParams, p):
     """Laguerre cone basis L_{n-m}^(2m+2mu+beta+d-1)(t) t^m P_k^mu(x/t)."""
-    k = _as_multiindex(k)
-    params.validate_dimension(k.d)
-    return cone_basis(_radial(params), k, n, p, params.mu)
+    return _cone_value(k, n, params, p)
 
 
 def jacobi_cone(k, n: int, params: JacobiConeParams, p):
     """Jacobi cone basis P_{n-m}^((2m+2mu+beta+d-1, gamma))(1-2t) t^m P_k^mu(x/t)."""
-    k = _as_multiindex(k)
-    params.validate_dimension(k.d)
-    return cone_basis(_radial(params), k, n, p, params.mu)
+    return _cone_value(k, n, params, p)
 
 
 def cone_norm(k, n: int, params) -> float:

@@ -34,7 +34,7 @@ from .kernel import (_LOG2, INTEGRALITY_TOL, Cx, DomainError, PoleError,
                      _exp_in_range, _gamma_zero_beyond, _series_terms,
                      _signed_log_pochhammer, gamma_cx, log_gamma_cx, pochhammer)
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
-                           _as_multiindex, ball_norm)
+                           _as_multiindex, _coords, ball_norm)
 from .univariate import _I_POWERS, continuous_hahn, gegenbauer, jacobi, laguerre
 
 __all__ = [
@@ -54,8 +54,6 @@ __all__ = [
     "ft_g_jacobi_closed",
     "a_family",
     "b_family",
-    "a_family_factors",
-    "b_family_factors",
     "a_norm_rhs",
     "b_norm_rhs",
 ]
@@ -260,16 +258,6 @@ def _sech2(x):
     e = np.exp(-2.0 * np.abs(np.asarray(x, dtype=np.float64)))
     s = 2.0 * np.sqrt(e) / (1.0 + e)
     return s * s
-
-
-def _coords(x, d: int):
-    if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
-        seq = (x,)
-    else:
-        seq = tuple(x)
-    if len(seq) != d:
-        raise DomainError(f"coordinate vector has {len(seq)} entries, expected {d}")
-    return seq
 
 
 def _f_power(k: MultiIndex, a, j: int) -> float:
@@ -775,33 +763,24 @@ def _family_specs(family: str, k, n: int, pp: ParsevalParams) -> list:
             *(_axis_spec(j, k, pp.a1, pp.mu) for j in range(1, k.d + 1))]
 
 
-def _family_factors(family: str, k, n: int, pp: ParsevalParams, form: str):
-    """(t_factor, [axis_factor_1, ...]) of family "a" or "b", each checked
-    by _finite."""
-    _check_form(form)
-    t, *axes = _family_specs(family, k, n, pp)
-    if form == "hyper":
-        factors = [partial(_product, [spec]) for spec in (t, *axes)]
-    else:
-        factors = [partial(_product, [t]) if family == "a"  # no Hahn form
-                   else partial(_hahn_value, t, pp.c2),
-                   *(partial(_hahn_value, s, s.den[0] - s.shift) for s in axes)]
-    t_factor, *axis_factors = (partial(_finite, f) for f in factors)
-    return t_factor, axis_factors
-
-
 def _family_value(family: str, t, x, k, n: int, pp: ParsevalParams,
                   form: str):
-    """The family at (t, x), checked by _finite; in the hyper form one
-    _Rows call takes its t row and axis rows."""
+    """The family at (t, x), checked by _finite.  In the hyper form one
+    _Rows call takes its t row and axis rows; in the hahn form the t row
+    of family b and each axis row is a continuous-Hahn polynomial, each
+    row is checked by _finite, and so is their product."""
+    _check_form(form)
     k = _as_multiindex(k)
     zs = (t, *_coords(x, k.d))
+    specs = _family_specs(family, k, n, pp)
     if form == "hyper":
-        return _cx_or_array(
-            _finite(_product, _family_specs(family, k, n, pp), *zs))
-    t_factor, axis_factors = _family_factors(family, k, n, pp, form)
-    return _cx_or_array(_finite(lambda: math.prod(
-        f(z) for f, z in zip((t_factor, *axis_factors), zs))))
+        return _cx_or_array(_finite(_product, specs, *zs))
+    t_spec, *axes = specs
+    values = [_finite(_product, [t_spec], t) if family == "a"  # no Hahn form
+              else _finite(_hahn_value, t_spec, pp.c2, t),
+              *(_finite(_hahn_value, s, s.den[0] - s.shift, z)
+                for s, z in zip(axes, zs[1:]))]
+    return _cx_or_array(_finite(math.prod, values))
 
 
 class _GammaTable:
@@ -901,26 +880,6 @@ def _orthogonality_integrand(family: str, n: int, k: MultiIndex, m: int,
         return out
 
     return integrand
-
-
-def a_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
-    """The first Parseval family as separable factors
-    (t_factor, [axis_factor_1, ..., axis_factor_d]) with
-
-        a_family(t, x) = t_factor(t) * prod_j axis_factor_j(x_j).
-
-    t_factor is the argument-2 2F1 in t times the shifted Pochhammer
-    (b1 - t)_|k|; each factor is a vectorized callable of one variable
-    that raises DomainError where its value is not finite."""
-    return _family_factors("a", k, n, pp, form)
-
-
-def b_family_factors(k, n: int, pp: ParsevalParams, form: str = "hyper"):
-    """The second Parseval family as separable factors, as in
-    a_family_factors.  t_factor is a terminating 3F2 at 1 in t
-    (equivalently a degree n-|k| continuous-Hahn polynomial) times
-    (b1 - t/2)_|k|."""
-    return _family_factors("b", k, n, pp, form)
 
 
 def a_family(t, x, k, n: int, pp: ParsevalParams, form: str = "hyper") -> Cx:

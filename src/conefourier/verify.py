@@ -39,7 +39,7 @@ import numpy as np
 from .kernel import DomainError, pochhammer
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
                            _T_TAIL_CUTOFF, _as_multiindex, _ball_factor,
-                           _radial, _t_factor, ball_norm, ball_op, cone_norm,
+                           _t_factor, ball_norm, ball_op, cone_norm,
                            jacobi_cone, laguerre_cone)
 from .quadrature import (IntegralResult, NonConvergenceError, QuadratureConfig,
                          _meets, fourier_num, integrate_1d)
@@ -344,7 +344,7 @@ def _check_cone_orth(family, params, cfg):
     k, l = _pair(params)
     cone = _cone_params(family, params)
     h_k, h_l = cone_norm(k, n, cone), cone_norm(l, m, cone)
-    q, mu = _radial(cone), cone.mu
+    mu = cone.mu
     power = k.d + 2.0 * mu - 1.0 + cone.beta  # t^|k|, t^|l| are in _t_factor
 
     def t_row(t):
@@ -352,7 +352,7 @@ def _check_cone_orth(family, params, cfg):
             weight = (1.0 - t) ** cone.gamma
         else:
             t, weight = _laguerre_tail(t)
-        return (_t_factor(q, k, n, mu, t) * _t_factor(q, l, m, mu, t)
+        return (_t_factor(cone, k, n, t) * _t_factor(cone, l, m, t)
                 * t ** power * weight)[None]
 
     t_box = (0.0, 1.0) if family == "jacobi" else (0.0, math.inf)
@@ -546,7 +546,7 @@ def _check_basis_factor(params, cfg):
         cone = _cone_params(family, params)
         n, t = int(params["n"]), float(params["t"])
         lhs = element(k, n, cone, (t, [t * v for v in y]))
-        t_part = float(_t_factor(_radial(cone), k, n, mu, t))
+        t_part = float(_t_factor(cone, k, n, t))
         rhs *= t_part
         envelope *= abs(t_part)
     return lhs, rhs, max(envelope, np.finfo(np.float64).tiny), 0

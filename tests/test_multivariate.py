@@ -11,7 +11,7 @@ from scipy import special as sp
 
 from conefourier import (DomainError, JacobiConeParams, LaguerreConeParams,
                          MultiIndex, ball_norm, ball_op, check_identity,
-                         cone_basis, cone_norm, jacobi, jacobi_cone, laguerre,
+                         cone_norm, f_d, jacobi, jacobi_cone, laguerre,
                          laguerre_cone)
 from conftest import (ball_inner_oracle, cone_jacobi_inner_oracle,
                       cone_laguerre_inner_oracle)
@@ -53,6 +53,20 @@ def test_ball_op_first_degree_collapses():
     assert got == pytest.approx((2 * mu + 1) * x1, rel=1e-13)
     got = ball_op((0, 1), mu, (x1, x2))
     assert got == pytest.approx(2 * mu * x2, rel=1e-13)
+
+
+def test_scalar_point_at_d1():
+    # at d = 1 every point parser takes a scalar; a wrong count raises
+    assert ball_op((1,), 0.6, 0.5) == pytest.approx(0.6, rel=1e-15)
+    assert laguerre_cone((1,), 1, LaguerreConeParams(0.5, 0.9),
+                         (1.0, 0.5)) == pytest.approx(0.9, rel=1e-15)
+    assert jacobi_cone((1,), 1, JacobiConeParams(0.5, 0.9, 0.3),
+                       (0.5, 0.2)) == pytest.approx(0.36, rel=1e-15)
+    assert f_d(0.5, (1,), 0.8, 0.6) == f_d((0.5,), (1,), 0.8, 0.6)
+    with pytest.raises(DomainError):
+        ball_op((1, 0), 0.6, 0.5)
+    with pytest.raises(DomainError):
+        laguerre_cone((1, 0), 1, LaguerreConeParams(0.5, 0.9), (1.0, 0.5))
 
 
 def test_ball_op_partial_norm_guard():
@@ -118,21 +132,36 @@ def test_ball_orthogonality_spot():
 
 # --------------------------------------------------------------- cone bases
 
+def cone_basis(q, k, n, p, mu):
+    """The cone basis element q_{n-m}^(alpha_m)(t) t^m P_k^mu(x/t) with
+    m = |k| and alpha_m = d + 2m + 2mu - 1, for a radial family q(degree,
+    alpha, t) written by the test."""
+    t, x = p
+    m = sum(k)
+    alpha = len(k) + 2.0 * m + 2.0 * mu - 1.0
+    return q(n - m, alpha, t) * t ** m * ball_op(k, mu, [c / t for c in x])
+
+
 def test_cone_basis_constant():
     q = lambda deg, alpha, t: laguerre(deg, alpha, t)
     got = cone_basis(q, (0,), 0, (2.0, (0.5,)), 0.9)
     assert got == pytest.approx(laguerre(0, 1.8, 2.0), rel=1e-13)
+    assert laguerre_cone((0,), 0, LaguerreConeParams(0.0, 0.9),
+                         (2.0, (0.5,))) == pytest.approx(got, rel=1e-13)
 
 
 def test_cone_basis_degree_one_collapses():
     mu, beta = 0.9, 0.5
     q = lambda deg, alpha, t: laguerre(deg, alpha + beta, t)
+    params = LaguerreConeParams(beta, mu)
     # k = 1, n = 1: radial degree 0, t * 2 mu * (x/t) = 2 mu x
-    got = cone_basis(q, (1,), 1, (1.7, (0.3,)), mu)
-    assert got == pytest.approx(2 * mu * 0.3, rel=1e-13)
+    for got in (cone_basis(q, (1,), 1, (1.7, (0.3,)), mu),
+                laguerre_cone((1,), 1, params, (1.7, (0.3,)))):
+        assert got == pytest.approx(2 * mu * 0.3, rel=1e-13)
     # k = 0, n = 1: L_1^(2mu+beta)(t) = 2mu + beta + 1 - t
-    got = cone_basis(q, (0,), 1, (1.7, (0.3,)), mu)
-    assert got == pytest.approx(2 * mu + beta + 1 - 1.7, rel=1e-13)
+    for got in (cone_basis(q, (0,), 1, (1.7, (0.3,)), mu),
+                laguerre_cone((0,), 1, params, (1.7, (0.3,)))):
+        assert got == pytest.approx(2 * mu + beta + 1 - 1.7, rel=1e-13)
 
 
 def test_laguerre_cone_values():

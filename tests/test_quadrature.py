@@ -11,8 +11,9 @@ import pytest
 
 import conefourier.quadrature as quadrature
 from conefourier import (DomainError, IntegralResult, NonConvergenceError,
-                         ParsevalParams, QuadratureConfig, a_family_factors,
-                         fourier_num, gamma_cx, integrate_1d)
+                         ParsevalParams, QuadratureConfig, fourier_num,
+                         gamma_cx, integrate_1d)
+from conefourier.transforms import _family_specs, _finite, _product
 from conefourier.verify import _row_product
 
 _LINE = (-math.inf, math.inf)
@@ -115,9 +116,10 @@ def test_de_first_acceptance_level_does_not_extrapolate():
     # came out 10x below the true error
     pp = ParsevalParams(0.8, 0.6, 0.9, 0.7)
     swapped = ParsevalParams(0.6, 0.8, 0.7, 0.9)
-    (_, [f]), (_, [g]) = (a_family_factors((2,), 2, pp),
-                          a_family_factors((2,), 2, swapped))
-    h = lambda x: f(1j * x) * np.conj(g(-1j * x))
+    (_, f), (_, g) = (_family_specs("a", (2,), 2, pp),
+                      _family_specs("a", (2,), 2, swapped))
+    h = lambda x: (_finite(_product, [f], 1j * x)
+                   * np.conj(_finite(_product, [g], -1j * x)))
     line = (-math.inf, math.inf)
     res = integrate_1d(h, line, QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7))
     ref = integrate_1d(h, line, QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15))

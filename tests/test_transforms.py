@@ -20,10 +20,10 @@ import conefourier.univariate as univariate
 from conefourier import (DomainError, FreqVector, JacobiConeParams,
                          LaguerreConeParams, MultiIndex, ParsevalParams,
                          PoleError, QuadratureConfig, TransformParamsJacobi,
-                         TransformParamsLaguerre, a_family, a_family_factors,
-                         a_norm_rhs, b_family, b_family_factors, b_norm_rhs,
-                         ball_norm, ball_op, check_identity, cone_norm, f_d,
-                         f_d_via_g1, f_d_via_g2, fourier_num, ft_f_closed,
+                         TransformParamsLaguerre, a_family, a_norm_rhs,
+                         b_family, b_norm_rhs, ball_norm, ball_op,
+                         check_identity, cone_norm, f_d, f_d_via_g1,
+                         f_d_via_g2, fourier_num, ft_f_closed,
                          ft_g_jacobi_closed, ft_g_laguerre_closed, g_jacobi,
                          g_laguerre, gamma_cx, theta_hahn, pochhammer,
                          theta_hyper)
@@ -757,21 +757,6 @@ def test_ab_families_raise_where_the_product_overflows():
         assert np.isfinite(fam(1e100j, (0.5,), (1,), 2, pp))
 
 
-def test_factor_callables_raise_where_not_finite():
-    # the public t factors overflow at |t| = 1e300 as the families do,
-    # and raise the same way; finite values pass through unchanged
-    pp = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
-    for fam, factors in ((a_family, a_family_factors),
-                         (b_family, b_family_factors)):
-        t_factor, (axis_factor,) = factors((1,), 2, pp)
-        with pytest.raises(DomainError):
-            t_factor(1e300j)
-        with pytest.raises(DomainError):
-            t_factor(np.array([0.3j, 1e300j]))
-        assert t_factor(0.3j) * axis_factor(0.5j) == fam(0.3j, (0.5j,), (1,),
-                                                          2, pp)
-
-
 def test_a_norm_rhs_collapse():
     pp = ParsevalParams(0.8, 0.6, 0.9, 0.7)
     h0 = ball_norm(MultiIndex([0]), pp.mu)
@@ -803,17 +788,8 @@ def _params(s):
                       JacobiConeParams(0.9 * s, 0.7, 0.6))}
 
 
-def _factor_calls(factors):
-    def calls(t, x, xi, u, form, p):
-        t_factor, axis_factors = factors(_K, 4, p["pp"], form)
-        return [partial(t_factor, u * t)] + [
-            partial(f, u * v) for f, v in zip(axis_factors, (x, xi))]
-    return calls
-
-
 # name -> (t, x, xi, u, form, params) -> the calls to check; the families
-# and their factors take the real line (u = 1) and the imaginary slice
-# (u = i)
+# take the real line (u = 1) and the imaginary slice (u = i)
 _EVALUATORS = {
     "f_d": lambda t, x, xi, u, form, p: [
         partial(f_d, (x, xi), _K, p["a"], 0.6)],
@@ -825,8 +801,6 @@ _EVALUATORS = {
         partial(a_family, u * t, (u * x, u * xi), _K, 4, p["pp"], form)],
     "b_family": lambda t, x, xi, u, form, p: [
         partial(b_family, u * t, (u * x, u * xi), _K, 4, p["pp"], form)],
-    "a_family_factors": _factor_calls(a_family_factors),
-    "b_family_factors": _factor_calls(b_family_factors),
     "theta_hyper": lambda t, x, xi, u, form, p: [
         partial(theta_hyper, j, 2, p["a"], 0.6, _K, xi) for j in (1, 2)],
     "theta_hahn": lambda t, x, xi, u, form, p: [

@@ -18,11 +18,12 @@ import conefourier.univariate as univariate
 import conefourier.verify as verify
 from conefourier import (DomainError, JacobiConeParams, LaguerreConeParams,
                          MultiIndex, NonConvergenceError, ParsevalParams,
-                         QuadratureConfig, a_family, a_family_factors,
-                         b_family, b_family_factors, ball_op, check_identity,
+                         QuadratureConfig, a_family, b_family, ball_op,
+                         check_identity,
                          cone_norm, default_grids, f_d, fourier_num, gamma_cx,
                          integrate_1d, jacobi_cone, laguerre_cone, run_suite)
-from conefourier.transforms import _orthogonality_integrand
+from conefourier.transforms import (_family_specs, _finite,
+                                    _orthogonality_integrand, _product)
 from conftest import cubature_cx
 
 _PP_ARGS = {"a1": 0.8, "a2": 0.6, "b1": 0.9, "b2": 0.7, "c1": 1.1, "c2": 0.5}
@@ -531,17 +532,19 @@ def test_parseval_factor_estimates_cover_true_error():
 
 
 def _public_rows(family, n, k, m, l, s):
-    """The rows of the orthogonality integrand from the public factor
-    callables and gamma_cx, one factor at a time."""
+    """The rows of the orthogonality integrand from the family's rows and
+    gamma_cx, one _product per row at a time."""
     swapped = ParsevalParams(_PP.a2, _PP.a1, _PP.b2, _PP.b1, _PP.c2, _PP.c1)
-    factors = a_family_factors if family == "a" else b_family_factors
-    (tf, axes_f), (tg, axes_g) = factors(k, n, _PP), factors(l, m, swapped)
+    (tf, *axes_f), (tg, *axes_g) = (_family_specs(family, k, n, _PP),
+                                    _family_specs(family, l, m, swapped))
+    row = lambda spec, z: _finite(_product, [spec], z)
     if family == "a":
         weight = lambda p, t: gamma_cx(p.b1 - 1j * t)
     else:
         weight = lambda p, t: gamma_cx(p.b1 - 0.5j * t) * gamma_cx(p.c1 + 0.5j * t)
-    rows = [weight(_PP, s) * tf(1j * s) * weight(swapped, -s) * tg(-1j * s)]
-    return np.array(rows + [f(1j * s) * g(-1j * s)
+    rows = [weight(_PP, s) * row(tf, 1j * s) * weight(swapped, -s)
+            * row(tg, -1j * s)]
+    return np.array(rows + [row(f, 1j * s) * row(g, -1j * s)
                             for f, g in zip(axes_f, axes_g)])
 
 
@@ -549,7 +552,7 @@ def _public_rows(family, n, k, m, l, s):
 @pytest.mark.parametrize("n,k,m,l", [
     (2, (1,), 2, (2,)), (2, (1, 1), 3, (0, 2)), (3, (1, 0, 1), 3, (1, 1, 1))])
 def test_orthogonality_rows_match_public_factors(family, n, k, m, l):
-    # moderate s only: past it the public t factors' polynomials overflow
+    # moderate s only: past it the single t rows' polynomials overflow
     # where the stacked rows take them at 0 beside an underflowed weight
     s = np.linspace(-30.0, 30.0, 121)
     got = _orthogonality_integrand(family, n, MultiIndex(k), m,
@@ -731,12 +734,12 @@ def test_parseval_oracle_never_reflects_a_gamma_pair(monkeypatch):
     for _, f in _d1_integrands():
         assert np.isfinite(f(nodes)).all()
     k3 = MultiIndex([1, 0, 1])
-    for family, factors in (("a", a_family_factors), ("b", b_family_factors)):
+    for family in ("a", "b"):
         f = _orthogonality_integrand(family, 3, k3, 3, MultiIndex([1, 1, 1]),
                                      _PP)
         assert np.isfinite(f(nodes)).all()
         for k, n in (((2,), 2), (k3, 3)):
-            for axis in factors(k, n, _PP)[1]:
-                axis(1j * nodes)
+            for axis in _family_specs(family, k, n, _PP)[1:]:
+                _finite(_product, [axis], 1j * nodes)
     result = run_suite(["parseval-a", "parseval-b"])
     assert all(r.passed for r in result)
