@@ -13,7 +13,7 @@ from .quadrature import (IntegralResult, NonConvergenceError,
                          QuadratureConfig, fourier_num, integrate_1d)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
                          TransformParamsLaguerre, a_family, a_norm_rhs,
-                         b_family, b_norm_rhs, f_d, f_d_via_g1, f_d_via_g2,
+                         b_family, b_norm_rhs, f_d, f_d_via_g2,
                          ft_f_closed, ft_g_jacobi_closed,
                          ft_g_laguerre_closed, g_jacobi, g_laguerre,
                          theta_hahn, theta_hyper)
@@ -33,7 +33,7 @@ __all__ = [
     "fourier_num", "integrate_1d",
     "FreqVector", "ParsevalParams", "TransformParamsJacobi",
     "TransformParamsLaguerre", "a_family", "a_norm_rhs",
-    "b_family", "b_norm_rhs", "f_d", "f_d_via_g1", "f_d_via_g2", "ft_f_closed",
+    "b_family", "b_norm_rhs", "f_d", "f_d_via_g2", "ft_f_closed",
     "ft_g_jacobi_closed", "ft_g_laguerre_closed", "g_jacobi", "g_laguerre",
     "theta_hahn", "theta_hyper",
     "continuous_hahn", "gegenbauer",

@@ -482,7 +482,7 @@ def _check_params(tokens):
         try:
             v = _value_of(text)
         except UsageError:
-            # selector keys ("which", "route") take plain strings
+            # a selector key ("which") takes a plain string
             v = text
         if isinstance(v, complex) or (isinstance(v, tuple)
                                       and any(isinstance(c, complex) for c in v)):

@@ -234,47 +234,18 @@ def log_gamma_cx(z):
 # Pochhammer
 # ----------------------------------------------------------------------
 
-_POCHHAMMER_SWITCH = 40
-
-
-def _pochhammer_product(alpha, n: int):
+def pochhammer(alpha, n: int):
+    """Rising factorial (alpha)_n, the iterated product of alpha + j over
+    j < n.  Zero is a valid value (alpha a nonpositive integer with
+    n > |alpha|): the product reaches it exactly."""
+    if n < 0:
+        raise DomainError("pochhammer: n must be a nonnegative integer")
     arr = np.asarray(alpha)
     dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
     out = np.ones(arr.shape, dtype=dtype)
     a = arr.astype(dtype)
     for j in range(n):
         out = out * (a + j)
-    return out
-
-
-def _pochhammer_loggamma(alpha, n: int):
-    a = np.asarray(alpha, dtype=np.complex128)
-    val = np.exp(log_gamma_cx(np.atleast_1d(a) + n) - log_gamma_cx(np.atleast_1d(a)))
-    val = val.reshape(a.shape) if a.ndim else val[0]
-    if not np.iscomplexobj(np.asarray(alpha)):
-        val = val.real
-    return val
-
-
-def pochhammer(alpha, n: int):
-    """Rising factorial (alpha)_n.
-
-    Iterated product for small n, log-Gamma ratio for large n.  Zero is a
-    valid value (alpha a nonpositive integer with n > |alpha|).
-    """
-    if n < 0:
-        raise DomainError("pochhammer: n must be a nonnegative integer")
-    if n == 0:
-        arr = np.asarray(alpha)
-        one = np.ones(arr.shape, dtype=np.complex128 if np.iscomplexobj(arr) else np.float64)
-        return one if arr.ndim else one[()]
-    if n < _POCHHAMMER_SWITCH:
-        out = _pochhammer_product(alpha, n)
-        return out if out.ndim else out[()]
-    npint = _nonpositive_int(alpha) if not (isinstance(alpha, np.ndarray) and alpha.ndim) else None
-    if npint is not None and -npint < n:
-        return 0.0
-    out = np.asarray(_pochhammer_loggamma(alpha, n))
     return out if out.ndim else out[()]
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "TransformParamsJacobi",
     "ParsevalParams",
     "f_d",
-    "f_d_via_g1",
     "f_d_via_g2",
     "g_laguerre",
     "g_jacobi",
@@ -122,73 +121,42 @@ def _cx_or_array(value):
 
 
 def _positive_real(value, name: str) -> float:
-    v = float(value)
+    try:
+        v = float(value)
+    except TypeError:  # a complex value
+        v = math.nan
     if not (math.isfinite(v) and v > 0.0):
         raise DomainError(f"{name} must be a positive real, got {value!r}")
     return v
 
 
-def _positive_re(value, name: str):
-    v = complex(value)
-    if not v.real > 0.0:
-        raise DomainError(f"{name} must have positive real part, got {value!r}")
-    return v.real if v.imag == 0.0 else v
-
-
 @dataclass(frozen=True)
-class TransformParamsLaguerre:
-    """Parameters (a, b) of the Gaussian-Laguerre cone family together
-    with its cone weight parameters (beta, mu).
-
-    a must be a positive real.  b is positive real in Parseval use; mere
-    transform evaluation only needs Re b > 0, so complex b passes with a
-    positive real part.
-    """
+class TransformParamsLaguerre(LaguerreConeParams):
+    """The Gaussian-Laguerre cone family's cone weight parameters
+    (beta, mu) with its transform parameters (a, b), positive reals."""
     a: float
-    b: object
-    cone: LaguerreConeParams
+    b: float
 
     def __init__(self, a, b, beta, mu):
         object.__setattr__(self, "a", _positive_real(a, "a"))
-        object.__setattr__(self, "b", _positive_re(b, "b"))
-        object.__setattr__(self, "cone", LaguerreConeParams(float(beta), float(mu)))
-
-    @property
-    def beta(self) -> float:
-        return self.cone.beta
-
-    @property
-    def mu(self) -> float:
-        return self.cone.mu
+        object.__setattr__(self, "b", _positive_real(b, "b"))
+        super().__init__(float(beta), float(mu))
 
 
 @dataclass(frozen=True)
-class TransformParamsJacobi:
-    """Parameters (a, b, c) of the beta-type cone family together with
-    its cone weight parameters (beta, mu, gamma).  All of a, b, c must be
-    positive reals."""
+class TransformParamsJacobi(JacobiConeParams):
+    """The beta-type cone family's cone weight parameters
+    (beta, mu, gamma) with its transform parameters (a, b, c), positive
+    reals."""
     a: float
     b: float
     c: float
-    cone: JacobiConeParams
 
     def __init__(self, a, b, c, beta, mu, gamma):
         object.__setattr__(self, "a", _positive_real(a, "a"))
         object.__setattr__(self, "b", _positive_real(b, "b"))
         object.__setattr__(self, "c", _positive_real(c, "c"))
-        object.__setattr__(self, "cone", JacobiConeParams(float(beta), float(mu), float(gamma)))
-
-    @property
-    def beta(self) -> float:
-        return self.cone.beta
-
-    @property
-    def mu(self) -> float:
-        return self.cone.mu
-
-    @property
-    def gamma(self) -> float:
-        return self.cone.gamma
+        super().__init__(float(beta), float(mu), float(gamma))
 
 
 @dataclass(frozen=True)
@@ -288,17 +256,6 @@ def f_d(x, k, a, mu):
     return math.prod(_f_factor(k, a, mu, j, xj) for j, xj in enumerate(xs, 1))
 
 
-def f_d_via_g1(x, k, a, mu):
-    """Recursive evaluation peeling the first coordinate."""
-    k = _as_multiindex(k)
-    d = k.d
-    xs = _coords(x, d)
-    if d == 1:
-        return f_d(xs, k, a, mu)
-    return _f_factor(k, a, mu, 1, xs[0]) * f_d_via_g1(
-        xs[1:], MultiIndex(k.components[1:]), a, mu)
-
-
 def f_d_via_g2(x, k, a, mu):
     """Recursive evaluation peeling the last coordinate."""
     k = _as_multiindex(k)
@@ -339,10 +296,7 @@ def _laguerre_t_part(t, k: MultiIndex, n: int, params: TransformParamsLaguerre):
     alpha = 2 * k.total + 2 * params.mu + params.beta + k.d - 1
     lag = laguerre(int(n) - k.total, alpha, u)
     core = np.exp(-0.5 * u + (params.b + k.total) * ta)
-    tpart = np.where(dead, 0.0, lag * core)
-    if np.ndim(t) == 0 and np.ndim(tpart):
-        tpart = tpart[()]
-    return tpart
+    return np.where(dead, 0.0, lag * core)
 
 
 def g_jacobi(t, x, k, n, params: TransformParamsJacobi):
@@ -706,8 +660,6 @@ def ft_g_laguerre_closed(k, n: int, params: TransformParamsLaguerre, xi) -> Cx:
     b, mu = params.b, params.mu
     t = _laguerre_t_spec(k, n, b, mu, params.beta)
     fv = _as_freq(xi, k.d + 1)
-    if not (np.real(b) + k.total > 0.0):
-        raise DomainError("need Re b + |k| > 0 for the Gamma factor")
     m = -t.num[0]
     return _closed_value(k, params.a, mu, fv,
                          t._replace(gammas=((b + k.total, -1.0),)),
@@ -723,8 +675,6 @@ def ft_g_jacobi_closed(k, n: int, params: TransformParamsJacobi, xi) -> Cx:
     b, c, mu = params.b, params.c, params.mu
     t = _jacobi_t_spec(k, n, b, c, mu, params.beta, params.gamma)
     fv = _as_freq(xi, k.d + 1)
-    if not (b + k.total > 0.0 and c > 0.0):
-        raise DomainError("need b + |k| > 0 and c > 0 for the Gamma factors")
     m = -t.num[0]
     t = t._replace(gammas=((k.total + b, -0.5), (c, 0.5)),
                    den_gamma=k.total + b + c)

@@ -47,7 +47,7 @@ from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
                          TransformParamsLaguerre, _f_factor, _f_power,
                          _jacobi_t_part, _laguerre_t_part,
                          _orthogonality_integrand, _sech2,
-                         a_norm_rhs, b_norm_rhs, f_d, f_d_via_g1, f_d_via_g2,
+                         a_norm_rhs, b_norm_rhs, f_d, f_d_via_g2,
                          ft_f_closed, ft_g_jacobi_closed, ft_g_laguerre_closed,
                          theta_hahn, theta_hyper)
 from .univariate import (gegenbauer, gegenbauer_norm, jacobi, jacobi_norm,
@@ -422,11 +422,8 @@ def _check_fd_recursion(params, cfg):
     k = _as_multiindex(params["k"])
     a, mu = float(params["a"]), float(params["mu"])
     x = tuple(float(v) for v in np.atleast_1d(params["x"]))
-    route = str(params["route"])
-    if route not in ("g1", "g2"):
-        raise DomainError(f"unknown recursion route {route!r}")
     lhs = f_d(x, k, a, mu)
-    rhs = f_d_via_g1(x, k, a, mu) if route == "g1" else f_d_via_g2(x, k, a, mu)
+    rhs = f_d_via_g2(x, k, a, mu)
     # the point's envelope prod_j sech^2(x_j)^e_j C_{k_j}^(lambda_j)(1),
     # e_j and lambda_j as in _f_factor, bounds |f_d(x)|: |C_n^lambda| <=
     # C_n^lambda(1) on [-1, 1] for lambda > 0.  Its floor keeps a point
@@ -706,9 +703,7 @@ def default_grids(seed: int = 0) -> dict:
         d = int(rng.integers(2, 4))
         point = tuple(round(float(v), 6) for v in rng.uniform(-2.5, 2.5, d))
         kk = tuple(int(rng.integers(0, 4)) for _ in range(d))
-        for route in ("g1", "g2"):
-            recs.append({"x": point, "k": kk, "a": 0.8, "mu": 0.6,
-                         "route": route})
+        recs.append({"x": point, "k": kk, "a": 0.8, "mu": 0.6})
     grids["fd-recursion"] = recs
 
     ppa = {"a1": 0.8, "a2": 0.6, "b1": 0.9, "b2": 0.7}

@@ -144,7 +144,7 @@ def test_check_report_schema(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("ball-eigen", "k=1", "mu=0.9", "x=0.3"),
-    ("fd-recursion", "k=2", "a=0.8", "mu=0.6", "x=0.3", "route=g2")],
+    ("fd-recursion", "k=2", "a=0.8", "mu=0.6", "x=0.3")],
     ids=["ball-eigen", "fd-recursion"])
 def test_check_one_coordinate_point(capsys, argv):
     # a single x reaches the check as a scalar, not a 1-tuple
@@ -456,6 +456,63 @@ def test_config_loads_and_drives_the_suite(tmp_path, capsys):
     want = cli._suite_json(run_suite(["gegenbauer-orth"], cfg=quad, seed=7))
     assert f1.read_text() == want
     assert f1.read_bytes() != f2.read_bytes()
+
+
+def _assert_csv_row_is_report(row, rep, params_text):
+    # a CSV row carries the JSON report's values, cell by cell; seconds,
+    # check's wall time, differs between two runs
+    cells = row.split(",")
+    assert len(cells) == 12
+    assert cells[:2] == [rep["id"], params_text]
+    assert [float(c) for c in cells[2:9]] == [
+        rep["lhs"]["re"], rep["lhs"]["im"], rep["rhs"]["re"], rep["rhs"]["im"],
+        rep["abs_err"], rep["rel_err"], rep["tol"]]
+    assert cells[9] == ("true" if rep["pass"] else "false")
+    assert int(cells[11]) == rep["evals"]
+
+
+def test_suite_csv_on_config_grids_matches_json(tmp_path, capsys):
+    grids = {
+        "theta-dual": [
+            {"j": 1, "d": 2, "k": [1, 2], "a": 0.8, "mu": 0.6, "xi": 1.5},
+            {"j": 2, "d": 2, "k": [0, 3], "a": 1.1, "mu": 0.9, "xi": -2.25}],
+        "fd-recursion": [{"x": [-0.3, 1.25], "k": [2, 1], "a": 0.8,
+                          "mu": 0.6}]}
+    text = {}
+    for fmt in ("csv", "json"):
+        cfg, out = tmp_path / f"{fmt}.json", tmp_path / f"suite.{fmt}"
+        cfg.write_text(json.dumps({"grids": grids, "format": fmt,
+                                   "out": str(out)}))
+        code, _, _ = run_cli(capsys, "suite", "--ids", "theta-dual",
+                             "fd-recursion", "--config", str(cfg))
+        assert code == 0
+        text[fmt] = out.read_text()
+    header, *rows = text["csv"].splitlines()
+    assert header == ("id,params,lhs_re,lhs_im,rhs_re,rhs_im,"
+                      "abs_err,rel_err,tol,pass,seconds,evals")
+    reports = json.loads(text["json"])["reports"]
+    params_text = {"fd-recursion": ["a=0.8;k=2|1;mu=0.6;x=-0.3|1.25"],
+                   "theta-dual": ["a=0.8;d=2;j=1;k=1|2;mu=0.6;xi=1.5",
+                                  "a=1.1;d=2;j=2;k=0|3;mu=0.9;xi=-2.25"]}
+    assert len(rows) == len(reports) == 3
+    for row, rep in zip(rows, reports):
+        _assert_csv_row_is_report(row, rep, params_text[rep["id"]].pop(0))
+
+
+def test_check_writes_to_out_what_it_prints(tmp_path, capsys):
+    argv = ("check", "theta-dual", "j=1", "d=1", "k=3", "a=0.5", "mu=1",
+            "xi=2")
+    cfg, out = tmp_path / "cfg.json", tmp_path / "check.csv"
+    cfg.write_text(json.dumps({"format": "csv", "out": str(out)}))
+    code, printed, _ = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert out.read_text() == printed
+    header, row = printed.splitlines()
+    assert header.startswith("id,params,lhs_re,")
+    code, as_json, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _assert_csv_row_is_report(row, json.loads(as_json),
+                              "a=0.5;d=1;j=1;k=3;mu=1;xi=2")
 
 
 def test_config_unknown_keys_rejected(tmp_path, capsys):

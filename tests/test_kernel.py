@@ -243,14 +243,20 @@ def test_pochhammer_values():
     assert pochhammer(-3.0, 5) == 0.0
 
 
-def test_pochhammer_switchover_agreement():
-    # the iterated product and the log-Gamma ratio must agree where the
-    # implementation switches between them
-    for alpha in (0.75, 3.2, 2.0 + 0.5j):
-        for n in (38, 39, 40, 41, 42, 55):
+def test_pochhammer_agrees_with_mpmath_at_large_n():
+    # the iterated product loses at most about one rounding per factor
+    rng = np.random.default_rng(24)
+    cases = [(alpha, n) for alpha in (0.75, 3.2, 2.0 + 0.5j)
+             for n in (38, 39, 40, 41, 42, 55, 80, 119)]
+    for _ in range(60):
+        re = rng.uniform(-30.0, 30.0)
+        alpha = complex(re, rng.uniform(-30.0, 30.0)) if rng.random() < 0.5 else re
+        cases.append((alpha, int(rng.integers(40, 120))))
+    with mpmath.workdps(40):
+        for alpha, n in cases:
             got = pochhammer(alpha, n)
             want = complex(mpmath.rf(mpmath.mpmathify(alpha), n))
-            assert abs(got - want) / abs(want) < 1e-12
+            assert abs(got - want) <= 1e-14 * abs(want), (alpha, n)
 
 
 @given(st.integers(min_value=0, max_value=12),

@@ -110,6 +110,33 @@ def test_nonconvergence_carries_best_result():
     assert "did not converge" in str(err.value)
 
 
+def test_de_left_half_line_mirrors_the_right():
+    # (-inf, b) takes the exp-sinh nodes reflected through b
+    left = integrate_1d(np.exp, (-math.inf, 0.0))
+    right = integrate_1d(lambda x: np.exp(-x), (0.0, math.inf))
+    assert left.converged
+    assert left.value == pytest.approx(1.0, rel=1e-14)
+    assert left.evaluations == right.evaluations == 217
+    assert left.value == right.value
+    assert left.error_estimate == right.error_estimate
+
+
+@pytest.mark.parametrize("f,max_levels,evals", [
+    (lambda x: 1.0 / np.sqrt(np.abs(x - 0.3)), 5, 480),
+    # a +-1e6 step whose halves cancel: the roundoff stays above abs_tol
+    # and the whole 4096-panel budget is spent
+    (lambda x: np.where(x < 0.5, -1e6, 1e6), 12, 61440)],
+    ids=["interior-singularity", "cancelling-step"])
+def test_gk_unconverged_raises_with_its_budget_spent(f, max_levels, evals):
+    cfg = QuadratureConfig(rule="adaptive-GK", max_levels=max_levels)
+    with pytest.raises(NonConvergenceError) as err:
+        integrate_1d(f, (0.0, 1.0), cfg)
+    res = err.value.result
+    assert not res.converged
+    assert res.evaluations == evals
+    assert res.error_estimate > max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+
+
 def test_de_first_acceptance_level_does_not_extrapolate():
     # a Parseval axis factor on the whole line whose ladder is not yet in
     # its quadratic regime at level 3: an extrapolated estimate there

@@ -22,7 +22,7 @@ from conefourier import (DomainError, FreqVector, JacobiConeParams,
                          PoleError, QuadratureConfig, TransformParamsJacobi,
                          TransformParamsLaguerre, a_family, a_norm_rhs,
                          b_family, b_norm_rhs, ball_norm, ball_op,
-                         check_identity, cone_norm, f_d, f_d_via_g1,
+                         check_identity, cone_norm, f_d,
                          f_d_via_g2, fourier_num, ft_f_closed,
                          ft_g_jacobi_closed, ft_g_laguerre_closed, g_jacobi,
                          g_laguerre, gamma_cx, theta_hahn, pochhammer,
@@ -69,10 +69,8 @@ def test_f_d_recursion_consistency():
             a = rng.uniform(0.3, 1.5)
             mu = rng.uniform(0.3, 1.8)
             direct = f_d(x, k, a, mu)
-            g1 = f_d_via_g1(x, k, a, mu)
             g2 = f_d_via_g2(x, k, a, mu)
             scale = max(abs(direct), 1e-8)
-            assert abs(g1 - direct) <= 1e-12 * scale
             assert abs(g2 - direct) <= 1e-12 * scale
 
 
@@ -662,6 +660,29 @@ def test_parseval_params_couplings():
     assert ppc.gamma == pytest.approx(0.6)
     with pytest.raises(DomainError):
         ParsevalParams(0.8, 0.6, 0.9, -0.7)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TransformParamsLaguerre(0.7, 1.2 + 0.5j, 0.5, 0.9),
+    lambda: TransformParamsJacobi(0.8, 1 + 1j, 0.9, 0.4, 0.7, 0.6),
+    lambda: ParsevalParams(0.8, 0.6, 0.9, 0.7j)],
+    ids=["laguerre-b", "jacobi-b", "parseval-b2"])
+def test_transform_parameters_reject_complex_values(make):
+    # a complex value is not a positive real: DomainError, not float()'s
+    # TypeError
+    with pytest.raises(DomainError, match="positive real"):
+        make()
+
+
+def test_transform_parameters_are_cone_parameters():
+    lag = TransformParamsLaguerre(0.7, 1.2, 0.5, 0.9)
+    jac = TransformParamsJacobi(0.8, 1.1, 0.9, 0.4, 0.7, 0.6)
+    assert cone_norm((1, 0), 2, lag) == cone_norm(
+        (1, 0), 2, LaguerreConeParams(0.5, 0.9))
+    assert cone_norm((1, 0), 2, jac) == cone_norm(
+        (1, 0), 2, JacobiConeParams(0.4, 0.7, 0.6))
+    with pytest.raises(DomainError):
+        TransformParamsJacobi(0.8, 1.1, 0.9, 0.4, 0.7, -1.0)  # gamma <= -1
 
 
 def test_a_family_base_cases():

@@ -349,8 +349,7 @@ def test_fd_recursion_judges_on_the_points_envelope(monkeypatch):
     # f_d is 5.3e-27 at x_1 = 15: on the scale max(1, |rhs|), a g2 route
     # off by 1e-6 relative passed with rel_err 5.3e-33.  The envelope
     # prod_j sech^2(x_j)^e_j C_{k_j}^(lambda_j)(1) bounds |f_d| and sees it
-    params = {"x": (15.0, 0.5), "k": (0, 2), "a": 0.8, "mu": 0.6,
-              "route": "g2"}
+    params = {"x": (15.0, 0.5), "k": (0, 2), "a": 0.8, "mu": 0.6}
     assert check_identity("fd-recursion", params).passed
     # where the envelope underflows both routes give 0, judged without 0/0
     assert check_identity("fd-recursion", {**params, "x": (400.0, 0.5)}).passed
