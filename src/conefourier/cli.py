@@ -31,7 +31,8 @@ from .transforms import (ParsevalParams, TransformParamsJacobi,
                          ft_f_closed, ft_g_jacobi_closed,
                          ft_g_laguerre_closed, g_jacobi, g_laguerre)
 from .univariate import continuous_hahn, gegenbauer, jacobi, laguerre
-from .verify import IDENTITY_IDS, CheckReport, check_identity, run_suite
+from .verify import (_CATALOG as _IDENTITIES, IDENTITY_IDS, CheckReport,
+                     _parse_params, check_identity, run_suite)
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -148,18 +149,12 @@ def _suite_csv(result) -> str:
 # ----------------------------------------------------------------------
 
 def _num(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    try:
-        return complex(text)
-    except ValueError:
-        raise UsageError(f"cannot parse number {text!r}")
+    for kind in (int, float, complex):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise UsageError(f"cannot parse number {text!r}")
 
 
 def _parse_pairs(tokens):
@@ -182,26 +177,6 @@ def _value_of(text: str):
     return _num(text)
 
 
-def _reals(v, name):
-    seq = v if isinstance(v, tuple) else (v,)
-    out = []
-    for c in seq:
-        if isinstance(c, complex):
-            raise UsageError(f"{name} must be real")
-        out.append(float(c))
-    return tuple(out)
-
-
-def _ints(v, name):
-    seq = v if isinstance(v, tuple) else (v,)
-    out = []
-    for c in seq:
-        if not isinstance(c, int):
-            raise UsageError(f"{name} must be integer")
-        out.append(c)
-    return tuple(out)
-
-
 def _take(args: dict, spec: dict, name: str) -> dict:
     """Pull typed values out of the raw string map.  spec maps key ->
     (converter, required).  An extra 'd' key cross-checks component
@@ -217,7 +192,7 @@ def _take(args: dict, spec: dict, name: str) -> dict:
     if raw:
         raise UsageError(f"unknown argument {sorted(raw)[0]!r} for {name}")
     if d is not None:
-        dd = _c_int(d)
+        dd = _INT[0](d)
         for key in ("k", "x", "xi"):
             if key in vals and isinstance(vals[key], tuple):
                 want = dd + 1 if key == "xi" and "b" in spec else dd
@@ -228,37 +203,24 @@ def _take(args: dict, spec: dict, name: str) -> dict:
     return vals
 
 
-def _scalar(text):
-    v = _value_of(text)
-    if isinstance(v, tuple):
-        raise UsageError(f"expected a scalar, got {text!r}")
-    return v
+# the numbers each converted type takes
+_TAKES = {int: (int,), float: (int, float), complex: (int, float, complex)}
 
 
-def _c_int(text):
-    return _ints(_scalar(text), "argument")[0]
-
-
-def _c_float(text):
-    return _reals(_scalar(text), "argument")[0]
-
-
-def _c_cx(text):
-    return complex(_scalar(text))
-
-
-def _c_ituple(text):
-    return _ints(_value_of(text), "argument")
-
-
-def _c_ftuple(text):
-    return _reals(_value_of(text), "argument")
-
-
-def _c_cxtuple(text):
-    v = _value_of(text)
-    seq = v if isinstance(v, tuple) else (v,)
-    return tuple(complex(c) for c in seq)
+def _converter(kind, vector: bool = False):
+    """The converter of an argument's text to kind, int, float or
+    complex: a scalar, or for a vector a tuple of one or more."""
+    def convert(text):
+        v = _value_of(text)
+        if isinstance(v, tuple) and not vector:
+            raise UsageError(f"expected a scalar, got {text!r}")
+        seq = v if isinstance(v, tuple) else (v,)
+        if not all(isinstance(c, _TAKES[kind]) for c in seq):
+            raise UsageError("argument must be "
+                             + {int: "integer", float: "real"}[kind])
+        out = tuple(map(kind, seq))
+        return out if vector else out[0]
+    return convert
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +231,11 @@ def _c_cxtuple(text):
 # axis to the function as one array, and sweeps any other key value by value.
 _POINT_KEYS = ("x", "t", "xi")
 
-_INT, _FLOAT, _CX = (_c_int, True), (_c_float, True), (_c_cx, True)
-_IVEC, _FVEC, _CXVEC = (_c_ituple, True), (_c_ftuple, True), (_c_cxtuple, True)
-_OPTIONAL_MU, _FORM = (_c_float, False), (str, False)
+_INT, _FLOAT, _CX = ((_converter(kind), True)
+                     for kind in (int, float, complex))
+_IVEC, _FVEC, _CXVEC = ((_converter(kind, vector=True), True)
+                        for kind in (int, float, complex))
+_OPTIONAL_MU, _FORM = (_FLOAT[0], False), (str, False)
 _LAGUERRE = {"a": _FLOAT, "b": _FLOAT, "beta": _FLOAT, "mu": _FLOAT}
 _JACOBI = {"a": _FLOAT, "b": _FLOAT, "c": _FLOAT, "beta": _FLOAT,
            "mu": _FLOAT, "gamma": _FLOAT}
@@ -393,15 +357,17 @@ class RunConfig:
     seed: int = 0
 
 
-def _tuplify(v):
-    if isinstance(v, list):
-        return tuple(_tuplify(c) for c in v)
-    return v
-
-
 def _known_identity(ident, context: str = "") -> None:
     if ident not in IDENTITY_IDS:
         raise UsageError(f"unknown identity {ident!r}{context}")
+
+
+def _check_row(ident, row) -> None:
+    """A usage error where row does not parse against ident's declaration."""
+    try:
+        _parse_params(ident, row)
+    except DomainError as exc:
+        raise UsageError(str(exc))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -422,18 +388,17 @@ def parse_config(doc: dict) -> RunConfig:
             quad = QuadratureConfig(**qd)
         except DomainError as exc:
             raise UsageError(f"invalid quadrature settings: {exc}")
-    grids = None
-    if doc.get("grids") is not None:
-        gd = doc["grids"]
-        if not isinstance(gd, dict):
+    grids = doc.get("grids")
+    if grids is not None:
+        if not isinstance(grids, dict):
             raise UsageError("config key 'grids' must be an object")
-        grids = {}
-        for ident, rows in gd.items():
+        for ident, rows in grids.items():
             _known_identity(ident, " in grids")
-            if not isinstance(rows, list):
-                raise UsageError(f"grids[{ident!r}] must be a list")
-            grids[ident] = [
-                {k: _tuplify(v) for k, v in row.items()} for row in rows]
+            if not (isinstance(rows, list)
+                    and all(isinstance(row, dict) for row in rows)):
+                raise UsageError(f"grids[{ident!r}] must be a list of objects")
+            for row in rows:
+                _check_row(ident, row)
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise UsageError("config key 'out' must be a string")
@@ -476,37 +441,22 @@ def _cmd_eval(ns) -> int:
     return 0
 
 
-def _check_params(tokens):
-    params = {}
-    for key, text in _parse_pairs(tokens).items():
-        try:
-            v = _value_of(text)
-        except UsageError:
-            # a selector key ("which") takes a plain string
-            v = text
-        if isinstance(v, complex) or (isinstance(v, tuple)
-                                      and any(isinstance(c, complex) for c in v)):
-            raise UsageError(f"{key} must be real")
-        params[key] = v
-    return params
-
-
 def _cmd_check(ns) -> int:
     _known_identity(ns.id, "; catalog: " + ", ".join(IDENTITY_IDS))
     cfg = load_config(ns.config) if ns.config else RunConfig()
-    params = _check_params(ns.args)
-    try:
-        report = check_identity(ns.id, params, cfg.quadrature)
-    except KeyError as exc:
-        raise UsageError(f"{ns.id} is missing parameter {exc.args[0]!r}")
+    # a selector's value is its text, any other a number or a comma list
+    keys = _IDENTITIES[ns.id][2]
+    params = {key: text if isinstance(keys.get(key), dict) else _value_of(text)
+              for key, text in _parse_pairs(ns.args).items()}
+    _check_row(ns.id, params)
+    report = check_identity(ns.id, params, cfg.quadrature)
     if cfg.format == "csv":
         text = _CSV_HEADER + "\n" + _report_csv_row(report) + "\n"
     else:
         text = _report_json(report) + "\n"
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+        _write(text, cfg.out)
+    _write(text, None)
     return 0 if report.passed else 1
 
 

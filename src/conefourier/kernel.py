@@ -234,10 +234,12 @@ def log_gamma_cx(z):
 # Pochhammer
 # ----------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def pochhammer(alpha, n: int):
     """Rising factorial (alpha)_n, the iterated product of alpha + j over
     j < n.  Zero is a valid value (alpha a nonpositive integer with
-    n > |alpha|): the product reaches it exactly."""
+    n > |alpha|), exact even where the factors before it overflow; a
+    product past the double range raises DomainError."""
     if n < 0:
         raise DomainError("pochhammer: n must be a nonnegative integer")
     arr = np.asarray(alpha)
@@ -246,6 +248,13 @@ def pochhammer(alpha, n: int):
     a = arr.astype(dtype)
     for j in range(n):
         out = out * (a + j)
+    if not np.isfinite(out).all():
+        # the factor alpha + j = 0 may follow factors that overflow
+        out = np.where((a == np.floor(a.real)) & (-n < a.real) & (a.real <= 0),
+                       0.0, out)
+        if not np.isfinite(out).all():
+            raise DomainError("pochhammer: (alpha)_n lies past the double "
+                              "range")
     return out if out.ndim else out[()]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,16 +53,14 @@ class MultiIndex:
         elif isinstance(components, (int, np.integer)):
             comps = (int(components),)
         else:
-            comps = tuple(int(c) for c in components)
-        if len(comps) < 1:
+            comps = tuple(map(int, components))
+        if not comps:
             raise DomainError("MultiIndex requires d >= 1")
-        if any(c < 0 for c in comps):
+        if min(comps) < 0:
             raise DomainError(f"MultiIndex components must be nonnegative: {comps}")
-        object.__setattr__(self, "components", comps)
-        tails = [0] * (len(comps) + 2)
-        for j in range(len(comps), 0, -1):
-            tails[j] = comps[j - 1] + tails[j + 1]
-        object.__setattr__(self, "_tails", tuple(tails))
+        self.components = comps
+        # _tails[j] = |k^j| for 1 <= j <= d + 1, and 0 at j = 0
+        self._tails = (0, *accumulate(comps[::-1]), 0)[::-1]
 
     @property
     def d(self) -> int:

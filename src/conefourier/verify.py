@@ -14,6 +14,11 @@ transformed on the whole line;
 basis-factor certifies pointwise that the bases are the products of the
 factors those rows integrate.
 
+Each identity declares in _CATALOG the parameters it takes, all
+required, and their kinds; check_identity parses a check's parameters
+against it once, and raises DomainError naming a parameter that is
+unknown, missing or not of its kind.
+
 Tolerance policy (per identity class): algebraic identities compare two
 exact evaluation routes at rel 1e-11; single-integral quadrature checks
 run at rel 1e-10; ball-eigen, whose line derivatives lose digits toward
@@ -32,15 +37,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .kernel import DomainError, pochhammer
 from .multivariate import (JacobiConeParams, LaguerreConeParams, MultiIndex,
-                           _T_TAIL_CUTOFF, _as_multiindex, _ball_factor,
-                           _t_factor, ball_norm, ball_op, cone_norm,
-                           jacobi_cone, laguerre_cone)
+                           _T_TAIL_CUTOFF, _ball_factor, _t_factor, ball_norm,
+                           ball_op, cone_norm, jacobi_cone, laguerre_cone)
 from .quadrature import (IntegralResult, NonConvergenceError, QuadratureConfig,
                          _meets, fourier_num, integrate_1d)
 from .transforms import (FreqVector, ParsevalParams, TransformParamsJacobi,
@@ -87,6 +91,57 @@ class CheckReport:
 
     def params_dict(self) -> dict:
         return dict(self.params)
+
+
+# ----------------------------------------------------------------------
+# Parameter kinds.  A kind parses one value of a check's parameters, or
+# raises DomainError naming its key.
+# ----------------------------------------------------------------------
+
+_SEQUENCES = (tuple, list, np.ndarray, MultiIndex, FreqVector)
+
+
+def _kind(what: str, ok, parse, vector: bool = False):
+    """The kind of the values that pass ok, parsed by parse; a vector
+    kind takes a scalar or a sequence, and ok and parse its components."""
+    def kind(key, v):
+        if vector:
+            v = tuple(v) if isinstance(v, _SEQUENCES) else (v,)
+        if not (all(map(ok, v)) if vector else ok(v)):
+            raise DomainError(f"{key} must be {what}, got {v!r}")
+        return parse(v)
+    return kind
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating))
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) or (
+        isinstance(v, (float, np.floating)) and float(v).is_integer())
+
+
+_integer = _kind("an integer", _is_integer, int)
+_real = _kind("real", _is_real, float)
+_text = _kind("text", lambda v: isinstance(v, str), str)
+# a MultiIndex does not change, so the parse shares one per value: the
+# two builds were a quarter of parsing a parseval-b row
+_multiindex = _kind("a multi-index", _is_integer,
+                    lru_cache(maxsize=64)(MultiIndex), vector=True)
+_point = _kind("a point of reals", _is_real, lambda c: tuple(map(float, c)),
+               vector=True)
+_frequency = _kind("a frequency vector", _is_real, FreqVector, vector=True)
+# each name's kind across the catalog (theta-dual's xi aside): one of
+# these, or else real
+_KINDS = {**dict.fromkeys(("n", "m", "j", "d", "k1"), _integer),
+          "k": _multiindex, "l": _multiindex, "x": _point, "s": _point,
+          "xi": _frequency, "which": _text, "basis": _text}
+
+
+def _keys(names: str) -> dict:
+    """The declaration of the parameters names, name -> kind."""
+    return {name: _KINDS.get(name, _real) for name in names.split()}
 
 
 def _freeze_params(params: dict) -> tuple:
@@ -141,13 +196,11 @@ def _orth(res, diagonal, h_k, h_l):
     return res.value, 0.0, math.sqrt(h_k) * math.sqrt(h_l), res.evaluations
 
 
-def _pair(params):
-    """The multiindices k and l of an orthogonality check."""
-    k, l = _as_multiindex(params["k"]), _as_multiindex(params["l"])
+def _pair(k, l):
+    """DomainError unless the multiindices k and l have one dimension."""
     if k.d != l.d:
         raise DomainError("orthogonality checks need multiindices of equal "
                           "dimension")
-    return k, l
 
 
 def _row_product(ladders, cfg) -> IntegralResult:
@@ -204,8 +257,7 @@ _CFG_FOURIER = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
 _CFG_PARSEVAL = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7)
 
 
-def _check_gegenbauer_orth(params, cfg):
-    n, m, mu = int(params["n"]), int(params["m"]), float(params["mu"])
+def _check_gegenbauer_orth(cfg, n, m, mu):
     res = integrate_1d(
         lambda x: gegenbauer(n, mu, x) * gegenbauer(m, mu, x)
         * (1.0 - x * x) ** (mu - 0.5),
@@ -223,9 +275,7 @@ def _laguerre_tail(t):
     return np.where(dead, 1.0, t), np.where(dead, 0.0, np.exp(-t))
 
 
-def _check_laguerre_orth(params, cfg):
-    n, m, alpha = int(params["n"]), int(params["m"]), float(params["alpha"])
-
+def _check_laguerre_orth(cfg, n, m, alpha):
     def integrand(t):
         t, weight = _laguerre_tail(t)
         return (laguerre(n, alpha, t) * laguerre(m, alpha, t)
@@ -235,9 +285,7 @@ def _check_laguerre_orth(params, cfg):
     return _orth(res, n == m, laguerre_norm(n, alpha), laguerre_norm(m, alpha))
 
 
-def _check_jacobi_orth(params, cfg):
-    n, m = int(params["n"]), int(params["m"])
-    alpha, beta = float(params["alpha"]), float(params["beta"])
+def _check_jacobi_orth(cfg, n, m, alpha, beta):
     res = integrate_1d(
         lambda t: jacobi(n, alpha, beta, t) * jacobi(m, alpha, beta, t)
         * (1.0 - t) ** alpha * (1.0 + t) ** beta,
@@ -261,9 +309,8 @@ def _ball_rows(k, l, mu, s):
                      for j in range(1, d + 1)])
 
 
-def _check_ball_orth(params, cfg):
-    k, l = _pair(params)
-    mu = float(params["mu"])
+def _check_ball_orth(cfg, k, l, mu):
+    _pair(k, l)
     res = _row_product([partial(integrate_1d, partial(_ball_rows, k, l, mu),
                                 (-1.0, 1.0))], cfg or _CFG_BALL)
     return _orth(res, k == l, ball_norm(k, mu), ball_norm(l, mu))
@@ -280,7 +327,7 @@ def _ball_envelope(k, mu, s):
         for j, sj in enumerate(s, 1))
 
 
-def _check_ball_eigen(params, cfg):
+def _check_ball_eigen(cfg, k, mu, x):
     """Delta P - sum_ij x_i x_j d_i d_j P - (2mu + d) x.grad P - d(2mu - 1) P
     against -(n + d)(n + 2mu - 1) P, for P = ball_op(k, mu, .) of degree
     n = |k| at x inside the ball.  Along a unit line v, s -> P(x + s v) is
@@ -290,9 +337,7 @@ def _check_ball_eigen(params, cfg):
     T_j''(0) = -j^2 cos(j pi/2).  The lines are e_1..e_d, whose second
     derivatives sum to Delta P, and x/|x|, which gives x.grad P and
     sum_ij x_i x_j d_i d_j P; r is half the distance to the sphere."""
-    k = _as_multiindex(params["k"])
-    mu = float(params["mu"])
-    x = np.atleast_1d(np.asarray(params["x"], dtype=np.float64))
+    x = np.asarray(x)
     d, n = k.d, k.total
     if x.size != d:
         raise DomainError(f"point has {x.size} coordinates, expected {d}")
@@ -332,30 +377,24 @@ def _check_ball_eigen(params, cfg):
 # times the ball rows above; judged against the closed-form cone_norm.
 # ----------------------------------------------------------------------
 
-def _cone_params(family, params):
-    if family == "laguerre":
-        return LaguerreConeParams(float(params["beta"]), float(params["mu"]))
-    return JacobiConeParams(float(params["beta"]), float(params["mu"]),
-                            float(params["gamma"]))
-
-
-def _check_cone_orth(family, params, cfg):
-    n, m = int(params["n"]), int(params["m"])
-    k, l = _pair(params)
-    cone = _cone_params(family, params)
+def _check_cone_orth(kind, cfg, n, k, m, l, **weights):
+    """kind is the cone's parameter class, and weights its arguments."""
+    _pair(k, l)
+    cone = kind(**weights)
+    jacobi = isinstance(cone, JacobiConeParams)
     h_k, h_l = cone_norm(k, n, cone), cone_norm(l, m, cone)
     mu = cone.mu
     power = k.d + 2.0 * mu - 1.0 + cone.beta  # t^|k|, t^|l| are in _t_factor
 
     def t_row(t):
-        if family == "jacobi":
+        if jacobi:
             weight = (1.0 - t) ** cone.gamma
         else:
             t, weight = _laguerre_tail(t)
         return (_t_factor(cone, k, n, t) * _t_factor(cone, l, m, t)
                 * t ** power * weight)[None]
 
-    t_box = (0.0, 1.0) if family == "jacobi" else (0.0, math.inf)
+    t_box = (0.0, 1.0) if jacobi else (0.0, math.inf)
     res = _row_product([partial(integrate_1d, t_row, t_box),
                         partial(integrate_1d, partial(_ball_rows, k, l, mu),
                                 (-1.0, 1.0))],
@@ -382,46 +421,26 @@ def _fourier_row(lhs, k, a, mu, xi, cfg, *t_ladder):
             res.evaluations)
 
 
-def _check_ft_f(params, cfg):
-    k = _as_multiindex(params["k"])
-    a, mu = float(params["a"]), float(params["mu"])
-    xi = FreqVector(params["xi"])
+def _check_ft_f(cfg, k, a, mu, xi):
     return _fourier_row(ft_f_closed(k, a, mu, xi), k, a, mu, xi.components,
                         cfg)
 
 
-# family -> (parameter class, its argument names, closed form, t part)
-_CONE_TRANSFORMS = {
-    "laguerre": (TransformParamsLaguerre, ("a", "b", "beta", "mu"),
-                 ft_g_laguerre_closed, _laguerre_t_part),
-    "jacobi": (TransformParamsJacobi, ("a", "b", "c", "beta", "mu", "gamma"),
-               ft_g_jacobi_closed, _jacobi_t_part),
-}
-
-
-def _check_ft_g(family, params, cfg):
-    k = _as_multiindex(params["k"])
-    n = int(params["n"])
-    kind, names, closed, t_part = _CONE_TRANSFORMS[family]
-    tp = kind(*(float(params[name]) for name in names))
-    xi = FreqVector(params["xi"])
+def _check_ft_g(kind, closed, t_part, cfg, n, k, xi, **weights):
+    """kind is the family's transform parameter class, weights its
+    arguments, closed its closed form and t_part its t factor."""
+    tp = kind(**weights)
     t_ladder = partial(fourier_num, lambda t: t_part(t, k, n, tp), xi[k.d])
     return _fourier_row(closed(k, n, tp, xi), k, tp.a, tp.mu, xi.components,
                         cfg, t_ladder)
 
 
-def _check_theta_dual(params, cfg):
-    j, d = int(params["j"]), int(params["d"])
-    k = _as_multiindex(params["k"])
-    a, mu, xi = float(params["a"]), float(params["mu"]), float(params["xi"])
+def _check_theta_dual(cfg, j, d, k, a, mu, xi):
     return (theta_hyper(j, d, a, mu, k, xi),
             theta_hahn(j, d, a, mu, k, xi), None, 0)
 
 
-def _check_fd_recursion(params, cfg):
-    k = _as_multiindex(params["k"])
-    a, mu = float(params["a"]), float(params["mu"])
-    x = tuple(float(v) for v in np.atleast_1d(params["x"]))
+def _check_fd_recursion(cfg, x, k, a, mu):
     lhs = f_d(x, k, a, mu)
     rhs = f_d_via_g2(x, k, a, mu)
     # the point's envelope prod_j sech^2(x_j)^e_j C_{k_j}^(lambda_j)(1),
@@ -442,16 +461,9 @@ def _check_fd_recursion(params, cfg):
 # ladder one row per factor pair, the t pair carrying the Gamma weights.
 # ----------------------------------------------------------------------
 
-def _parseval_params(params) -> ParsevalParams:
-    ab = [float(params[key]) for key in ("a1", "a2", "b1", "b2")]
-    cs = [params.get(key) for key in ("c1", "c2")]
-    return ParsevalParams(*ab, *(None if c is None else float(c) for c in cs))
-
-
-def _check_parseval(family, params, cfg):
-    n, m = int(params["n"]), int(params["m"])
-    k, l = _pair(params)
-    pp = _parseval_params(params)
+def _check_parseval(family, cfg, n, k, m, l, **pairs):
+    _pair(k, l)
+    pp = ParsevalParams(**pairs)
     norm = a_norm_rhs if family == "a" else b_norm_rhs
     h_k, h_l = norm(n, k, pp), norm(m, l, pp)
     res = _row_product([partial(integrate_1d, _orthogonality_integrand(
@@ -492,22 +504,15 @@ def _b_norm_d1_display(n: int, k1: int, pp: ParsevalParams) -> float:
     return num / den
 
 
-def _check_norm_constants(params, cfg):
-    which = str(params["which"])
+def _check_norm_constants(cfg, which, n, mu=None, k1=None, **pairs):
     if which == "gegenbauer-vs-ball":
-        n, mu = int(params["n"]), float(params["mu"])
         return ball_norm(MultiIndex([n]), mu), gegenbauer_norm(n, mu), None, 0
+    pp = ParsevalParams(**pairs)
     if which == "a-norm-d1":
-        n, k1 = int(params["n"]), int(params["k1"])
-        pp = _parseval_params(params)
         return (a_norm_rhs(n, MultiIndex([k1]), pp),
                 _a_norm_d1_display(n, k1, pp), None, 0)
-    if which == "b-norm-d1":
-        n, k1 = int(params["n"]), int(params["k1"])
-        pp = _parseval_params(params)
-        return (b_norm_rhs(n, MultiIndex([k1]), pp),
-                _b_norm_d1_display(n, k1, pp), None, 0)
-    raise DomainError(f"unknown norm-constants row {which!r}")
+    return (b_norm_rhs(n, MultiIndex([k1]), pp),
+            _b_norm_d1_display(n, k1, pp), None, 0)
 
 
 # ----------------------------------------------------------------------
@@ -516,16 +521,12 @@ def _check_norm_constants(params, cfg):
 # integrate, at a point y(s) of the cube map, or (t, t y(s)) on the cone
 # ----------------------------------------------------------------------
 
-_CONE_BASES = {"laguerre-cone": ("laguerre", laguerre_cone),
-               "jacobi-cone": ("jacobi", jacobi_cone)}
+_CONE_BASES = {"laguerre-cone": (LaguerreConeParams, laguerre_cone),
+               "jacobi-cone": (JacobiConeParams, jacobi_cone)}
 
 
-def _check_basis_factor(params, cfg):
-    basis = str(params["basis"])
-    if basis != "ball" and basis not in _CONE_BASES:
-        raise DomainError(f"unknown basis-factor row {basis!r}")
-    k, mu = _as_multiindex(params["k"]), float(params["mu"])
-    s = [float(v) for v in np.atleast_1d(params["s"])]
+def _check_basis_factor(cfg, basis, k, mu, s, n=None, t=None, **weights):
+    """n, t and the cone's weights beyond mu are the cone rows'."""
     if len(s) != k.d:
         raise DomainError(f"point has {len(s)} coordinates, expected {k.d}")
     y, rest = [], 1.0
@@ -539,9 +540,8 @@ def _check_basis_factor(params, cfg):
     if basis == "ball":
         lhs = ball_op(k, mu, y)
     else:
-        family, element = _CONE_BASES[basis]
-        cone = _cone_params(family, params)
-        n, t = int(params["n"]), float(params["t"])
+        kind, element = _CONE_BASES[basis]
+        cone = kind(mu=mu, **weights)
         lhs = element(k, n, cone, (t, [t * v for v in y]))
         t_part = float(_t_factor(cone, k, n, t))
         rhs *= t_part
@@ -549,40 +549,84 @@ def _check_basis_factor(params, cfg):
     return lhs, rhs, max(envelope, np.finfo(np.float64).tiny), 0
 
 
-# id -> (builder, rel tolerance); a builder takes (params, cfg) and
-# returns (lhs, rhs, scale, evals) for _report
+# id -> (builder, rel tolerance, declaration).  The declaration maps each
+# parameter the id takes, all of them required, to its kind; a selector,
+# the first parameter, maps each of its values to the declaration that
+# value takes instead.  The builder takes cfg and the parameters parsed
+# by their kinds, and returns (lhs, rhs, scale, evals) for _report.
 _CATALOG = {
-    "gegenbauer-orth": (_check_gegenbauer_orth, 1e-10),
-    "laguerre-orth": (_check_laguerre_orth, 1e-10),
-    "jacobi-orth": (_check_jacobi_orth, 1e-10),
-    "ball-orth": (_check_ball_orth, 1e-8),
-    "ball-eigen": (_check_ball_eigen, 1e-11),  # k_j <= 3, |x| <= 0.95
-    "cone-orth-laguerre": (partial(_check_cone_orth, "laguerre"), 1e-8),
-    "cone-orth-jacobi": (partial(_check_cone_orth, "jacobi"), 1e-8),
-    "ft-f": (_check_ft_f, 1e-6),
-    "ft-g-laguerre": (partial(_check_ft_g, "laguerre"), 1e-6),
-    "ft-g-jacobi": (partial(_check_ft_g, "jacobi"), 1e-6),
-    "theta-dual": (_check_theta_dual, 1e-11),
-    "fd-recursion": (_check_fd_recursion, 1e-11),
-    "parseval-a": (partial(_check_parseval, "a"), 1e-5),
-    "parseval-b": (partial(_check_parseval, "b"), 1e-5),
-    "norm-constants": (_check_norm_constants, 1e-11),
-    "basis-factor": (_check_basis_factor, 1e-11),
+    "gegenbauer-orth": (_check_gegenbauer_orth, 1e-10, _keys("n m mu")),
+    "laguerre-orth": (_check_laguerre_orth, 1e-10, _keys("n m alpha")),
+    "jacobi-orth": (_check_jacobi_orth, 1e-10, _keys("n m alpha beta")),
+    "ball-orth": (_check_ball_orth, 1e-8, _keys("k l mu")),
+    # k_j <= 3, |x| <= 0.95
+    "ball-eigen": (_check_ball_eigen, 1e-11, _keys("k mu x")),
+    "cone-orth-laguerre": (partial(_check_cone_orth, LaguerreConeParams),
+                           1e-8, _keys("n k m l beta mu")),
+    "cone-orth-jacobi": (partial(_check_cone_orth, JacobiConeParams), 1e-8,
+                         _keys("n k m l beta mu gamma")),
+    "ft-f": (_check_ft_f, 1e-6, _keys("k a mu xi")),
+    "ft-g-laguerre": (partial(_check_ft_g, TransformParamsLaguerre,
+                              ft_g_laguerre_closed, _laguerre_t_part), 1e-6,
+                      _keys("n k xi a b beta mu")),
+    "ft-g-jacobi": (partial(_check_ft_g, TransformParamsJacobi,
+                            ft_g_jacobi_closed, _jacobi_t_part), 1e-6,
+                    _keys("n k xi a b c beta mu gamma")),
+    # xi is one component of a frequency vector here
+    "theta-dual": (_check_theta_dual, 1e-11,
+                   {**_keys("j d k a mu"), "xi": _real}),
+    "fd-recursion": (_check_fd_recursion, 1e-11, _keys("x k a mu")),
+    "parseval-a": (partial(_check_parseval, "a"), 1e-5,
+                   _keys("n k m l a1 a2 b1 b2")),
+    "parseval-b": (partial(_check_parseval, "b"), 1e-5,
+                   _keys("n k m l a1 a2 b1 b2 c1 c2")),
+    "norm-constants": (_check_norm_constants, 1e-11, {"which": {
+        "gegenbauer-vs-ball": _keys("which n mu"),
+        "a-norm-d1": _keys("which n k1 a1 a2 b1 b2"),
+        "b-norm-d1": _keys("which n k1 a1 a2 b1 b2 c1 c2")}}),
+    "basis-factor": (_check_basis_factor, 1e-11, {"basis": {
+        "ball": _keys("basis k mu s"),
+        "laguerre-cone": _keys("basis k n s beta mu t"),
+        "jacobi-cone": _keys("basis k n s beta mu gamma t")}}),
 }
 IDENTITY_IDS = tuple(_CATALOG)
+
+
+def _parse_params(id: str, params: dict) -> dict:
+    """params parsed against id's declaration.  Raises DomainError naming
+    a parameter id does not take, one it takes and is not given, or a
+    value not of its parameter's kind."""
+    keys = _CATALOG[id][2]
+    selector, variants = next(iter(keys.items()))
+    if isinstance(variants, dict):
+        choice = params.get(selector)
+        if not (isinstance(choice, str) and choice in variants):
+            raise DomainError(f"{id} takes {selector} = one of "
+                              f"{', '.join(variants)}, got {choice!r}")
+        keys = variants[choice]
+    if params.keys() != keys.keys():
+        unknown = sorted(params.keys() - keys.keys())
+        if unknown:
+            raise DomainError(f"{id} takes no parameter {unknown[0]!r}; it "
+                              f"takes {', '.join(keys)}")
+        missing = next(key for key in keys if key not in params)
+        raise DomainError(f"{id} is missing parameter {missing!r}")
+    return {key: kind(key, params[key]) for key, kind in keys.items()}
 
 
 def check_identity(id: str, params: dict, cfg: QuadratureConfig | None = None
                    ) -> CheckReport:
     """Run one identity check.  Deterministic: identical inputs give
     bit-identical values (the seconds field alone reflects wall time).
-    Parameter validation errors raise; oracle non-convergence returns a
-    failed report with the reason attached."""
+    Parameter errors raise DomainError, and the report echoes params as
+    given; oracle non-convergence returns a failed report with the reason
+    attached."""
     if id not in _CATALOG:
         raise DomainError(f"unknown identity {id!r}; catalog: {IDENTITY_IDS}")
     start = time.perf_counter()
     try:
-        lhs, rhs, scale, evals = _CATALOG[id][0](params, cfg)
+        lhs, rhs, scale, evals = _CATALOG[id][0](cfg,
+                                                 **_parse_params(id, params))
     except NonConvergenceError as exc:
         return _report(id, params, math.nan, exc.result.value,
                        exc.result.evaluations, time.perf_counter() - start,
@@ -627,15 +671,11 @@ def default_grids(seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     grids: dict[str, list] = {}
 
-    grids["gegenbauer-orth"] = [
-        {"n": n, "m": m, "mu": 0.7}
-        for n in range(4) for m in range(4)]
-    grids["laguerre-orth"] = [
-        {"n": n, "m": m, "alpha": 0.5}
-        for n in range(4) for m in range(4)]
-    grids["jacobi-orth"] = [
-        {"n": n, "m": m, "alpha": 0.5, "beta": 1.5}
-        for n in range(4) for m in range(4)]
+    for ident, weight in (("gegenbauer-orth", {"mu": 0.7}),
+                          ("laguerre-orth", {"alpha": 0.5}),
+                          ("jacobi-orth", {"alpha": 0.5, "beta": 1.5})):
+        grids[ident] = [{"n": n, "m": m, **weight}
+                        for n in range(4) for m in range(4)]
 
     kidx = [(0, 0), (1, 0), (0, 1)]
     kidx3 = [(1, 0, 1), (0, 1, 1)]

@@ -163,6 +163,30 @@ def test_check_ball_eigen_exit_code(capsys, argv, code):
     assert run_cli(capsys, "check", "ball-eigen", *argv)[0] == code
 
 
+@pytest.mark.parametrize("argv,match", [
+    (("n=1", "m=1", "mu=0.7", "foo=3"), "takes no parameter 'foo'"),
+    (("n=1", "m=1"), "missing parameter 'mu'"),
+    (("n=1.5", "m=1", "mu=0.7"), "n must be an integer"),
+    (("n=1", "m=1", "mu=0.7+1j"), "mu must be real")],
+    ids=["unknown", "missing", "non-integral", "complex"])
+def test_check_parameter_off_the_declaration_exit_2(capsys, argv, match):
+    code, out, err = run_cli(capsys, "check", "gegenbauer-orth", *argv)
+    assert code == 2
+    assert out == ""
+    assert match in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm-constants", "which=gegenbauer-vs-ball", "n=2", "mu=0.7"),
+    ("basis-factor", "basis=ball", "k=1,2", "mu=0.7", "s=0.3,-0.2")],
+    ids=["which", "basis"])
+def test_check_takes_a_selector_as_text(capsys, argv):
+    code, out, _ = run_cli(capsys, "check", *argv)
+    assert code == 0
+    assert json.loads(out)["params"][argv[1].partition("=")[0]] == (
+        argv[1].partition("=")[2])
+
+
 # ---------------------------------------------------------------- suite
 
 def test_suite_empty_ids_exit_0(tmp_path, capsys):
@@ -537,6 +561,25 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
                            "--config", str(bad3))
     assert code == 2
     assert "unknown quadrature key" in err
+
+
+@pytest.mark.parametrize("row,match", [
+    ({"j": 1, "d": 1, "k": [3], "a": 0.5, "mu": 1, "xi": 2, "foo": 3},
+     "takes no parameter 'foo'"),
+    ({"j": 1, "d": 1, "k": [3], "a": 0.5, "mu": 1}, "missing parameter 'xi'"),
+    ([1, 1, [3], 0.5, 1, 2], "must be a list of objects")],
+    ids=["unknown", "missing", "not-an-object"])
+def test_config_grid_row_off_the_declaration_exit_2(tmp_path, capsys,
+                                                    monkeypatch, row, match):
+    # the row is refused when the config loads, before any check runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grids": {"theta-dual": [row]}}))
+    monkeypatch.setattr(cli, "run_suite", None)
+    code, out, err = run_cli(capsys, "suite", "--ids", "theta-dual",
+                             "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert match in err
 
 
 def test_no_command_is_usage_error(capsys):

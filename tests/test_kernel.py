@@ -259,6 +259,21 @@ def test_pochhammer_agrees_with_mpmath_at_large_n():
             assert abs(got - want) <= 1e-14 * abs(want), (alpha, n)
 
 
+def test_pochhammer_past_overflow_is_zero_or_domain_error():
+    # a nonpositive integer alpha > -n has the factor 0 after factors
+    # whose product overflows: the value is that exact 0, not nan; any
+    # other product past the double range raises, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert pochhammer(-200.0, 300) == 0.0
+        assert pochhammer(-200.0 + 0j, 300) == 0.0
+        assert np.array_equal(pochhammer(np.array([-200.0, -3.0]), 300),
+                              [0.0, 0.0])
+        for alpha in (0.5, 1e300, np.array([0.5, -200.0])):
+            with pytest.raises(DomainError, match="double range"):
+                pochhammer(alpha, 200)
+
+
 @given(st.integers(min_value=0, max_value=12),
        st.floats(min_value=-8.0, max_value=8.0, allow_nan=False))
 @settings(max_examples=60, deadline=None)

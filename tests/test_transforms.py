@@ -838,6 +838,11 @@ _EVALUATORS = {
         partial(b_norm_rhs, 4, _K, p["pp"])],
     "cone_norm": lambda t, x, xi, u, form, p: [
         partial(cone_norm, _K, 4, cone) for cone in p["cones"]],
+    # scalar and array alpha; -200 has the factor 0 after an overflow
+    "pochhammer": lambda t, x, xi, u, form, p: [
+        partial(pochhammer, u * x, 4),
+        partial(pochhammer, np.array([u * xi, p["a"], -200.0]), 120),
+        partial(pochhammer, u * np.array([-200.0, -3.0]), 300)],
 }
 
 _FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)

@@ -27,6 +27,9 @@ from conefourier.transforms import (_family_specs, _finite,
 from conftest import cubature_cx
 
 _PP_ARGS = {"a1": 0.8, "a2": 0.6, "b1": 0.9, "b2": 0.7, "c1": 1.1, "c2": 0.5}
+# each Parseval family's parameters: family a takes no c pair
+_FAMILY_ARGS = {"a": {key: _PP_ARGS[key] for key in ("a1", "a2", "b1", "b2")},
+                "b": _PP_ARGS}
 
 CATALOG = {
     "gegenbauer-orth", "laguerre-orth", "jacobi-orth", "ball-orth",
@@ -78,6 +81,58 @@ def test_check_ft_f_pi_example():
 def test_check_unknown_identity_rejected():
     with pytest.raises(DomainError):
         check_identity("riemann-hypothesis", {})
+
+
+@pytest.mark.parametrize("ident,params,key", [
+    ("gegenbauer-orth", {"n": 1, "m": 1, "mu": 0.7, "foo": 3}, "foo"),
+    ("parseval-a", {"n": 0, "k": (0,), "m": 0, "l": (0,), **_PP_ARGS}, "c1"),
+    ("norm-constants", {"which": "gegenbauer-vs-ball", "n": 1, "mu": 0.7,
+                        "k1": 0}, "k1")], ids=["foo", "c-pair", "selector"])
+def test_check_rejects_a_parameter_the_identity_does_not_take(ident, params,
+                                                              key):
+    with pytest.raises(DomainError, match=f"takes no parameter '{key}'"):
+        check_identity(ident, params)
+
+
+def test_check_names_a_missing_parameter():
+    with pytest.raises(DomainError, match="missing parameter 'mu'"):
+        check_identity("gegenbauer-orth", {"n": 1, "m": 1})
+    with pytest.raises(DomainError, match="which = one of"):
+        check_identity("norm-constants", {"n": 1, "mu": 0.7})
+
+
+@pytest.mark.parametrize("ident,params,match", [
+    ("gegenbauer-orth", {"n": 1.5, "m": 1, "mu": 0.7}, "n must be an integer"),
+    ("gegenbauer-orth", {"n": 1, "m": 1, "mu": 0.7 + 0.1j}, "mu must be real"),
+    ("ball-orth", {"k": (1.5, 0), "l": (1, 0), "mu": 0.7}, "k must be a"),
+    ("ft-f", {"k": (1,), "a": 0.8, "mu": 0.6, "xi": (1j,)}, "xi must be a"),
+    ("basis-factor", {"basis": "cube", "k": (1,), "mu": 0.7, "s": 0.3},
+     "basis = one of")],
+    ids=["non-integral", "complex", "multi-index", "frequency", "selector"])
+def test_check_rejects_a_value_of_the_wrong_kind(ident, params, match):
+    with pytest.raises(DomainError, match=match):
+        check_identity(ident, params)
+
+
+def test_check_echoes_the_parameters_as_given():
+    # an integral float is an integer, and the report keeps it a float
+    rep = check_identity("gegenbauer-orth", {"n": 2.0, "m": 2, "mu": 1})
+    assert rep.passed
+    assert rep.params == (("m", 2), ("mu", 1), ("n", 2.0))
+    assert isinstance(rep.params[1][1], int)
+
+
+def test_default_rows_parse_and_use_every_declared_parameter_set():
+    used = {ident: set() for ident in verify.IDENTITY_IDS}
+    for ident, rows in default_grids().items():
+        for row in rows:
+            verify._parse_params(ident, row)
+            used[ident].add(frozenset(row))
+    for ident, (_, _, keys) in verify._CATALOG.items():
+        variants = next(iter(keys.values()))
+        declared = ({frozenset(variant) for variant in variants.values()}
+                    if isinstance(variants, dict) else {frozenset(keys)})
+        assert used[ident] == declared, ident
 
 
 def test_nonconvergence_becomes_failed_report():
@@ -336,8 +391,7 @@ def test_offdiagonal_scale_survives_an_overflowing_norm_product():
     # not; an infinite scale divided every error down to rel_err 0, and
     # this row passed under a loose absolute tolerance with lhs 6.4e178
     params = {"n": 1, "k": (0,), "m": 0, "l": (0,),
-              **{key: 40.0 * v for key, v in _PP_ARGS.items()
-                 if key not in ("c1", "c2")}}
+              **{key: 40.0 * v for key, v in _FAMILY_ARGS["a"].items()}}
     rep = check_identity("parseval-a", params,
                          QuadratureConfig(abs_tol=1e300, rel_tol=1e-7))
     assert abs(rep.lhs) > 1e178
@@ -382,7 +436,7 @@ def test_basis_factor_judges_on_the_points_envelope(monkeypatch):
     assert rep.rel_err > 1e-8
     # a cone row's envelope carries the t factor both sides share
     monkeypatch.setitem(verify._CONE_BASES, "jacobi-cone",
-                        ("jacobi", lambda *args: jacobi_cone(*args)
+                        (JacobiConeParams, lambda *args: jacobi_cone(*args)
                          * (1.0 + 1e-6)))
     assert not check_identity("basis-factor", cone).passed
 
@@ -459,7 +513,7 @@ def test_parseval_norm_past_double_range_raises(family, scale):
     # the norms are taken before the integral, so the check raises
     # DomainError without integrating or overflowing on the way
     params = {"n": 0, "k": (0,), "m": 0, "l": (0,),
-              **{key: scale * v for key, v in _PP_ARGS.items()}}
+              **{key: scale * v for key, v in _FAMILY_ARGS[family].items()}}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DomainError, match="double range"):
@@ -471,8 +525,7 @@ def test_parseval_factorization_matches_tensor(family):
     # the factored oracle integrates one 1-d factor per axis; the same
     # d = 1 diagonal integrated unfactored by cubature over the (t, x)
     # square must agree
-    params = {"n": 0, "k": (0,), "m": 0, "l": (0,), "a1": 0.8, "a2": 0.6,
-              "b1": 0.9, "b2": 0.7, "c1": 1.1, "c2": 0.5}
+    params = {"n": 0, "k": (0,), "m": 0, "l": (0,), **_FAMILY_ARGS[family]}
     pp = ParsevalParams(0.8, 0.6, 0.9, 0.7, 1.1, 0.5)
     swapped = ParsevalParams(0.6, 0.8, 0.7, 0.9, 0.5, 1.1)
     if family == "a":
@@ -606,7 +659,7 @@ def test_parseval_check_makes_at_most_one_gamma_call_per_ladder_call(
                                ({"n": 1, "k": (0,), "m": 2, "l": (2,)}, 0)):
             before = dict(counts)
             report = check_identity(f"parseval-{family}",
-                                    {**params, **_PP_ARGS})
+                                    {**params, **_FAMILY_ARGS[family]})
             assert report.passed
             calls = {key: counts[key] - before[key] for key in counts}
             assert calls["integrand"] >= 1
@@ -680,7 +733,7 @@ def test_parseval_integrand_skips_only_exact_zeros(monkeypatch, pairs, pp):
 
 def _d1_grid_outputs(order):
     rows = [(f"parseval-{family}", {"n": n, "k": (k,), "m": m, "l": (l,),
-                                     **_PP_ARGS})
+                                     **_FAMILY_ARGS[family]})
             for family in "ab" for (n, k), (m, l)
             in itertools.combinations_with_replacement(_D1_STATES, 2)]
     out = {}
@@ -710,7 +763,7 @@ def test_parseval_gamma_table_changes_no_value_and_stays_bounded():
         pp = {key: v * rng.uniform(0.98, 1.02) for key, v in _PP_ARGS.items()}
         check_identity("parseval-b", {"n": 1, "k": (1,), "m": 1, "l": (1,),
                                       **pp})
-    scaled = {key: 20.0 * _PP_ARGS[key] for key in ("a1", "a2", "b1", "b2")}
+    scaled = {key: 20.0 * v for key, v in _FAMILY_ARGS["a"].items()}
     report = check_identity("parseval-a", {"n": 1, "k": (0,), "m": 0,
                                            "l": (0,), **scaled})
     assert not report.passed and "did not converge" in report.reason
